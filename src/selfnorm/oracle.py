@@ -95,9 +95,16 @@ def _check_magnitudes(mags) -> np.ndarray:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """Block threads: workers, else SELFNORM_THREADS, else 1."""
     if workers is None:
-        workers = int(os.environ.get("SELFNORM_THREADS", "1"))
-    if workers < 1:
+        text = os.environ.get("SELFNORM_THREADS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"SELFNORM_THREADS must be a positive integer, got {text!r}")
+    elif workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
 
@@ -114,18 +121,25 @@ def _sign_matrix(n: int, lo: int, hi: int) -> np.ndarray:
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def _ranges(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
+def _tstat_parts(vals: np.ndarray, n: int):
+    """Per-row (degenerate mask, t values); t is garbage where degenerate."""
+    degenerate = (vals == vals[:, :1]).all(axis=1)
+    means = vals.mean(axis=1)
+    ss = ((vals - means[:, None]) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
+    return degenerate, t
 
 
-def _map_blocks(count_block, total: int, workers: int) -> list:
-    """Apply count_block over contiguous index ranges, threaded when asked.
+def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
+    """Apply count_block over contiguous index ranges of at most block
+    indices each, threaded when asked.
 
     Per-range results are pure functions of the range, and the caller
     combines them by integer addition, so the outcome is identical for any
     worker count.
     """
-    ranges = _ranges(total)
+    ranges = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
     if workers == 1 or len(ranges) == 1:
         return [count_block(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -157,7 +171,7 @@ def exact_tail_multi(
             stats = vals.sum(axis=1)
         return (stats[:, None] >= cuts[None, :]).sum(axis=0)
 
-    counts = sum(_map_blocks(count_block, total, workers))
+    counts = sum(_map_blocks(count_block, total, workers, _BLOCK))
     return [ExactTail(hits=int(c), total=total) for c in counts]
 
 
@@ -207,20 +221,15 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
 
     def count_block(lo: int, hi: int) -> np.ndarray:
         vals = _sign_matrix(n, lo, hi) * arr[None, :]
-        degenerate = (vals == vals[:, :1]).all(axis=1)
-        means = vals.mean(axis=1)
-        ss = ((vals - means[:, None]) ** 2).sum(axis=1)
-        sums = vals.sum(axis=1)
+        degenerate, t = _tstat_parts(vals, n)
         live = ~degenerate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
         direct = live & (t >= cut_t)
-        ident = live & (sums >= cut_sum)
+        ident = live & (vals.sum(axis=1) >= cut_sum)
         return np.array(
             [direct.sum(), degenerate.sum(), (direct != ident).sum()], dtype=np.int64
         )
 
-    hits, degenerate, disagree = sum(_map_blocks(count_block, total, workers))
+    hits, degenerate, disagree = sum(_map_blocks(count_block, total, workers, _BLOCK))
     if disagree:
         raise RuntimeError(
             f"t-statistic event and its self-normalized form disagree on "

@@ -9,6 +9,7 @@ or a JSON array of flat records with the same keys.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -19,8 +20,12 @@ from .bounds import (
     bernstein_numeric,
     threshold_from_s,
 )
-from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail
-from .simulate import DistributionSpec, estimate_tail
+from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_multi
+from .simulate import DistributionSpec, estimate_tail, estimate_tail_multi
+
+# run_sweep calls only the multi-threshold forms; exact_tail and
+# estimate_tail stay importable from here because bench/tracing.py wraps
+# this module's names.
 
 __all__ = ["COLUMNS", "SweepGrid", "run_sweep", "render_csv", "render_json", "parse_csv"]
 
@@ -72,57 +77,57 @@ class SweepGrid:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
 
 
-def _oracle_cell(grid: SweepGrid, n: int, beta: float, x: float, workers) -> float | None:
-    dist = grid.dist
-    if dist is None or not dist.supports_exact() or n > MAX_ENUM_N:
-        return None
-    if dist.kind == "fixed_magnitudes" and len(dist.magnitudes) != n:
-        return None
-    return exact_tail(dist.exact_magnitudes(n), beta, x, grid.stat, workers).probability
-
-
-
-
 def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """Evaluate every grid cell; returns one flat record per cell.
 
-    Unavailable entries (enumeration over the budget, random-magnitude
-    laws, endpoint cells for the numeric minimizer, Monte Carlo turned
-    off) are None.
+    Each (n, beta) pair runs one enumeration and one Monte Carlo stream for
+    all its s values.  Unavailable entries (enumeration over the budget,
+    random-magnitude laws, endpoint cells for the numeric minimizer, Monte
+    Carlo turned off) are None.
     """
+    dist = grid.dist
+    blank = [None] * len(grid.s_values)
     rows = []
     for n in grid.n_values:
+        mags = None
+        if dist is not None and dist.supports_exact() and n <= MAX_ENUM_N:
+            # A fixed magnitude vector of another length leaves the column blank.
+            with contextlib.suppress(ValueError):
+                mags = dist.exact_magnitudes(n)
         for beta in grid.beta_values:
-            for s in grid.s_values:
-                x = threshold_from_s(n, beta, s)
+            xs = [threshold_from_s(n, beta, s) for s in grid.s_values]
+            exact = blank
+            if mags is not None:
+                tails = exact_tail_multi(mags, beta, xs, grid.stat, workers)
+                exact = [tail.probability for tail in tails]
+            estimates = blank
+            if dist is not None and grid.trials > 0:
+                estimates = estimate_tail_multi(
+                    dist, n, beta, xs, grid.stat, grid.trials, grid.seed, workers
+                )
+            for s, x, probability, est in zip(grid.s_values, xs, exact, estimates):
                 evaluation = bound_bn(n, beta, x)
-                row = {
-                    "n": n,
-                    "beta": beta,
-                    "s": s,
-                    "x": x,
-                    "bound_bn": evaluation.value,
-                    "bound_corollary": bound_corollary(n, beta, x),
-                    "bernstein_numeric": (
-                        bernstein_numeric(n, beta, x).objective_value
-                        if evaluation.regime == INTERIOR
-                        else None
-                    ),
-                    "oracle_exact": _oracle_cell(grid, n, beta, x, workers),
-                    "mc_p_hat": None,
-                    "mc_ci_low": None,
-                    "mc_ci_high": None,
-                    "trials": grid.trials,
-                    "seed": grid.seed,
-                }
-                if grid.dist is not None and grid.trials > 0:
-                    est = estimate_tail(
-                        grid.dist, n, beta, x, grid.stat, grid.trials, grid.seed, workers
-                    )
-                    row["mc_p_hat"] = est.p_hat
-                    row["mc_ci_low"] = est.ci_low
-                    row["mc_ci_high"] = est.ci_high
-                rows.append(row)
+                rows.append(
+                    {
+                        "n": n,
+                        "beta": beta,
+                        "s": s,
+                        "x": x,
+                        "bound_bn": evaluation.value,
+                        "bound_corollary": bound_corollary(n, beta, x),
+                        "bernstein_numeric": (
+                            bernstein_numeric(n, beta, x).objective_value
+                            if evaluation.regime == INTERIOR
+                            else None
+                        ),
+                        "oracle_exact": probability,
+                        "mc_p_hat": None if est is None else est.p_hat,
+                        "mc_ci_low": None if est is None else est.ci_low,
+                        "mc_ci_high": None if est is None else est.ci_high,
+                        "trials": grid.trials,
+                        "seed": grid.seed,
+                    }
+                )
     return rows
 
 

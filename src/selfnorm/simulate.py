@@ -15,8 +15,6 @@ atoms identically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +23,7 @@ from scipy.special import ndtri
 
 from .bounds import _beta_value, _check_n, _check_x, tstat_threshold
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
+from .oracle import _map_blocks, _resolve_workers, _tstat_parts
 
 __all__ = [
     "TSTAT",
@@ -36,6 +35,7 @@ __all__ = [
     "trial_stream",
     "sample_vector",
     "estimate_tail",
+    "estimate_tail_multi",
     "efron_check",
     "empirical_log_rate",
 ]
@@ -126,6 +126,14 @@ class DistributionSpec:
         """True when sign enumeration applies: magnitudes carry no randomness."""
         return self.kind in ("rademacher", "two_point", "fixed_magnitudes")
 
+    def check_length(self, n: int) -> None:
+        """Reject sample size n when a fixed magnitude vector has another length."""
+        if self.kind == "fixed_magnitudes" and len(self.magnitudes) != n:
+            raise ValueError(
+                f"fixed magnitude vector has length {len(self.magnitudes)}, "
+                f"but n = {n} was requested"
+            )
+
     def exact_magnitudes(self, n: int) -> list[float]:
         """The fixed magnitude vector this law implies for sample size n."""
         if self.kind == "rademacher":
@@ -133,11 +141,7 @@ class DistributionSpec:
         if self.kind == "two_point":
             return [self.a] * n
         if self.kind == "fixed_magnitudes":
-            if len(self.magnitudes) != n:
-                raise ValueError(
-                    f"fixed magnitude vector has length {len(self.magnitudes)}, "
-                    f"but n = {n} was requested"
-                )
+            self.check_length(n)
             return list(self.magnitudes)
         raise ValueError(f"{self.kind} has random magnitudes; no exact enumeration")
 
@@ -204,14 +208,6 @@ def _check_trials(trials: int) -> int:
     return int(trials)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("SELFNORM_THREADS", "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def _doubles_per_trial(n: int) -> int:
     # n magnitude uniforms + n sign uniforms, padded to the 4-per-counter
     # granularity Philox advances in.
@@ -260,25 +256,9 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
     blocked estimation run with the same seed.
     """
     n = _check_n(n)
-    if spec.kind == "fixed_magnitudes" and len(spec.magnitudes) != n:
-        raise ValueError(
-            f"fixed magnitude vector has length {len(spec.magnitudes)}, "
-            f"but n = {n} was requested"
-        )
+    spec.check_length(n)
     u = stream.random(2 * n)
     return _transform(spec, u[:n], u[n:])
-
-
-def _block_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _TRIAL_BLOCK, trials)) for lo in range(0, trials, _TRIAL_BLOCK)]
-
-
-def _map_blocks(count_block, trials: int, workers: int) -> list:
-    ranges = _block_ranges(trials)
-    if workers == 1 or len(ranges) == 1:
-        return [count_block(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: count_block(*r), ranges))
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -286,14 +266,57 @@ def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return _transform(spec, u[:, :n], u[:, n : 2 * n])
 
 
-def _tstat_parts(vals: np.ndarray, n: int):
-    """Per-trial (degenerate mask, t values); t is garbage where degenerate."""
-    degenerate = (vals == vals[:, :1]).all(axis=1)
-    means = vals.mean(axis=1)
-    ss = ((vals - means[:, None]) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
-    return degenerate, t
+def estimate_tail_multi(
+    spec: DistributionSpec,
+    n: int,
+    beta: float,
+    xs,
+    stat: str = RUNNING_MAX,
+    trials: int = 10**6,
+    seed: int = 0,
+    workers: int | None = None,
+) -> list[TailEstimate]:
+    """estimate_tail at several thresholds sharing one Monte Carlo stream.
+
+    Each block is drawn and reduced to its statistic once; every threshold
+    is then counted against the same statistic vector, so entry i equals
+    estimate_tail(spec, n, beta, xs[i], stat, trials, seed, workers).
+    """
+    if stat not in STATS:
+        raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
+    n = _check_n(n, minimum=2 if stat == TSTAT else 1)
+    b = _beta_value(beta)
+    cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
+    trials = _check_trials(trials)
+    seed = _check_seed(seed)
+    workers = _resolve_workers(workers)
+    spec.check_length(n)
+
+    def count_block(lo: int, hi: int) -> np.ndarray:
+        vals = _draw_values(spec, n, seed, lo, hi)
+        if stat == TSTAT:
+            degenerate, stat_vals = _tstat_parts(vals, n)
+        else:
+            v = (np.abs(vals) ** b).sum(axis=1) ** (1.0 / b)
+            degenerate = v == 0.0
+            safe_v = np.where(degenerate, 1.0, v)
+            if stat == RUNNING_MAX:
+                stat_vals = np.cumsum(vals, axis=1).max(axis=1) / safe_v
+            else:
+                stat_vals = vals.sum(axis=1) / safe_v
+        # Elementwise >=, not a search over sorted values: a NaN statistic
+        # must stay a miss at every cut.
+        live = stat_vals[~degenerate]
+        hits = (live[:, None] >= cuts[None, :]).sum(axis=0)
+        return np.append(hits, degenerate.sum())
+
+    *hits, degenerate = sum(_map_blocks(count_block, trials, workers, _TRIAL_BLOCK))
+    degenerate = int(degenerate)
+    estimates = []
+    for h in map(int, hits):
+        low, high = wilson_interval(h, trials)
+        estimates.append(TailEstimate(h, trials, h / trials, low, high, seed, degenerate))
+    return estimates
 
 
 def estimate_tail(
@@ -322,47 +345,7 @@ def estimate_tail(
         seed: 64-bit stream key.
         workers: block threads; defaults to SELFNORM_THREADS or 1.
     """
-    if stat not in STATS:
-        raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
-    n = _check_n(n, minimum=2 if stat == TSTAT else 1)
-    b = _beta_value(beta)
-    x = _check_x(x)
-    trials = _check_trials(trials)
-    seed = _check_seed(seed)
-    workers = _resolve_workers(workers)
-    if spec.kind == "fixed_magnitudes" and len(spec.magnitudes) != n:
-        raise ValueError(
-            f"fixed magnitude vector has length {len(spec.magnitudes)}, "
-            f"but n = {n} was requested"
-        )
-    cut = tie_guarded(x)
-
-    def count_block(lo: int, hi: int) -> np.ndarray:
-        vals = _draw_values(spec, n, seed, lo, hi)
-        if stat == TSTAT:
-            degenerate, stat_vals = _tstat_parts(vals, n)
-        else:
-            v = (np.abs(vals) ** b).sum(axis=1) ** (1.0 / b)
-            degenerate = v == 0.0
-            safe_v = np.where(degenerate, 1.0, v)
-            if stat == RUNNING_MAX:
-                stat_vals = np.cumsum(vals, axis=1).max(axis=1) / safe_v
-            else:
-                stat_vals = vals.sum(axis=1) / safe_v
-        hits = (~degenerate & (stat_vals >= cut)).sum()
-        return np.array([hits, degenerate.sum()], dtype=np.int64)
-
-    hits, degenerate = sum(_map_blocks(count_block, trials, workers))
-    low, high = wilson_interval(int(hits), trials)
-    return TailEstimate(
-        hits=int(hits),
-        trials=trials,
-        p_hat=int(hits) / trials,
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
-        degenerate_count=int(degenerate),
-    )
+    return estimate_tail_multi(spec, n, beta, [x], stat, trials, seed, workers)[0]
 
 
 def efron_check(
@@ -398,7 +381,7 @@ def efron_check(
         live = ~degenerate
         return int((live & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
 
-    return sum(_map_blocks(count_block, trials, workers))
+    return sum(_map_blocks(count_block, trials, workers, _TRIAL_BLOCK))
 
 
 def _mix_seed(seed: int, k: int) -> int:

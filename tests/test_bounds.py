@@ -23,6 +23,7 @@ from selfnorm import (
     bound_tstat,
     corollary_is_extrapolated,
     endpoint_threshold,
+    exact_tail,
     lambda_star,
     log_cosh,
     mdp_alpha_window,
@@ -271,3 +272,19 @@ class TestValidation:
     def test_rejects_bad_x(self, bad_x):
         with pytest.raises(ValueError):
             bound_bn(4, 2.0, bad_x)
+
+
+class TestDominatedMagnitude:
+    """One magnitude dominating the rest: the running maximum is within
+    1e-5 of 1 when the first sign is +, and negative otherwise, so the
+    tail at x = 0.9 is exactly 1/2."""
+
+    MAGS = [1.0] + [1e-6] * 9
+
+    def test_beta_two_bound_holds(self):
+        assert exact_tail(self.MAGS, 2.0, 0.9).probability <= bound_bn(10, 2.0, 0.9).value
+
+    @pytest.mark.xfail(strict=True, reason="bound_bn is exceeded for beta < 2 (open defect)")
+    def test_beta_below_two_bound_holds(self):
+        # 0.5 > bound_bn(10, 1.5, 0.9) = 0.4066.
+        assert exact_tail(self.MAGS, 1.5, 0.9).probability <= bound_bn(10, 1.5, 0.9).value

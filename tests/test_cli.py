@@ -287,6 +287,13 @@ class TestProcessLevel:
     def test_missing_command_exits_two(self, capsys):
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
+    def test_bad_thread_env_exits_two(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SELFNORM_THREADS", threads)
+        code, _, err = run_cli(capsys, *"sweep --n 8 --s 0.5".split())
+        assert code == 2
+        assert err.startswith("error: SELFNORM_THREADS")
+
     def test_thread_env_does_not_change_bytes(self, tmp_path):
         outputs = []
         for threads in ("1", "2", "8"):

@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo estimator and its counter-based streams."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from selfnorm import (
     efron_check,
     empirical_log_rate,
     estimate_tail,
+    estimate_tail_multi,
     exact_tail,
     sample_vector,
     tie_guarded,
@@ -196,6 +198,53 @@ class TestEstimateTail:
             estimate_tail(spec, 1, 2.0, 1.0, TSTAT, 100)
         with pytest.raises(ValueError):
             estimate_tail(DistributionSpec.fixed([1.0, 2.0]), 3, 2.0, 1.0, RUNNING_MAX, 100)
+
+
+class TestEstimateTailMulti:
+    # Unsorted, with a duplicate and a threshold beyond every statistic.
+    XS = (0.9, 0.2, 1.6, 0.9, 0.05, 9.0)
+    LAWS = SPECS[:5] + [DistributionSpec.pareto(0.01), DistributionSpec.fixed([1.0, 0.5, 2.0])]
+
+    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{s.kind}-{s.tail_index}")
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM, TSTAT])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_single_threshold_calls(self, spec, stat, workers):
+        n = 3 if spec.kind == "fixed_magnitudes" else 5
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            # pareto(0.01) overflows to NaN statistics; the warnings filter
+            # also covers floating-point warnings raised in worker threads.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            multi = estimate_tail_multi(spec, n, 1.5, self.XS, stat, 40000, 21, workers)
+            single = [
+                estimate_tail(spec, n, 1.5, x, stat, 40000, 21, workers) for x in self.XS
+            ]
+        assert multi == single
+
+    def test_nan_statistics_stay_misses(self):
+        """Rows whose statistic is NaN count at no threshold."""
+        spec, n, beta, trials, seed = DistributionSpec.pareto(0.01), 10, 2.0, 3000, 4
+        xs = [0.05, 0.5, 1.0]
+        stats = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for i in range(trials):
+                values = sample_vector(spec, n, trial_stream(seed, n, i))
+                stats.append(values.sum() / (np.abs(values) ** beta).sum() ** (1.0 / beta))
+            multi = estimate_tail_multi(spec, n, beta, xs, FINAL_SUM, trials, seed)
+        stats = np.array(stats)
+        assert np.isnan(stats).sum() > 0
+        for x, est in zip(xs, multi):
+            assert est.hits == int((stats >= tie_guarded(x)).sum())
+
+    def test_empty_thresholds(self):
+        assert estimate_tail_multi(DistributionSpec.gaussian(), 4, 2.0, [], trials=100) == []
+
+    def test_validation(self):
+        spec = DistributionSpec.rademacher()
+        with pytest.raises(ValueError):
+            estimate_tail_multi(spec, 4, 2.0, [1.0, 0.0], RUNNING_MAX, 100)
+        with pytest.raises(ValueError):
+            estimate_tail_multi(DistributionSpec.fixed([1.0, 2.0]), 3, 2.0, [1.0], FINAL_SUM, 100)
 
 
 class TestTransformScales:
