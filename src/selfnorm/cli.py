@@ -33,7 +33,7 @@ from .bounds import (
     two_sided_bound,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tstat_tail
-from .simulate import TSTAT, DistributionSpec, estimate_tail
+from .simulate import TSTAT, DistributionSpec, estimate_tail, respects
 
 __all__ = ["main", "build_parser"]
 
@@ -248,8 +248,6 @@ def cmd_simulate(args) -> int:
             ("s", x / endpoint_threshold(n, args.beta)),
             ("stat", args.stat),
         ]
-    halfwidth = estimate.ci_high - estimate.p_hat
-    respected = estimate.p_hat <= bound + 3.0 * halfwidth
     pairs += [
         ("trials", estimate.trials),
         ("seed", estimate.seed),
@@ -262,24 +260,16 @@ def cmd_simulate(args) -> int:
     ]
     if stat != TSTAT:
         pairs.append(("corollary", bound_corollary(n, args.beta, x)))
-    pairs.append(("respect", "PASS" if respected else "FAIL"))
+    pairs.append(("respect", "PASS" if respects(estimate, bound) else "FAIL"))
     _emit(pairs)
     return 0
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(token) for token in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(token) for token in text.split(","))
-
-
 def cmd_sweep(args) -> int:
     grid = report.SweepGrid(
-        n_values=_int_list(args.n),
-        beta_values=_float_list(args.beta),
-        s_values=_float_list(args.s),
+        n_values=tuple(map(int, args.n.split(","))),
+        beta_values=tuple(map(float, args.beta.split(","))),
+        s_values=tuple(map(float, args.s.split(","))),
         stat=_STATS[args.stat],
         dist=_parse_dist(args.dist),
         trials=args.trials,

@@ -14,6 +14,16 @@ of letting the last bit of rounding decide.  Thresholds farther than the
 guard from every atom are classified exactly as written.  The Monte Carlo
 module applies the same guard so the two agree sign vector for sign
 vector.
+
+The kernel doubles prefix states one coordinate at a time: each state
+carries its partial sum S and the running maximum M of its prefix sums,
+and coordinate a maps them to S <- [S - a, S + a], M <- max([M, M], S),
+O(2^n) work in all.  The first max(1, n - 16) coordinates build a head of
+at most 2^14 states; each block extends a slice of it over the rest, so
+no block holds more than 2^16 sign vectors whatever n is.  Additions run
+in np.cumsum's sequential order: running maxima are bit-identical to a
+cumulative sum, and the final sum is the sequential S_n, which for float
+magnitudes can differ in the last ulp from numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -48,7 +58,8 @@ TIE_GUARD = 1e-9
 RUNNING_MAX = "running_max"
 FINAL_SUM = "final_sum"
 
-_BLOCK = 1 << 16
+# Most coordinates a block extends the head over: 2^16 sign vectors.
+_TAIL = 16
 
 
 def tie_guarded(x: float) -> float:
@@ -109,28 +120,6 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _check_stat(stat: str) -> str:
-    if stat not in (RUNNING_MAX, FINAL_SUM):
-        raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
-    return stat
-
-
-def _sign_matrix(n: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
-
-
-def _tstat_parts(vals: np.ndarray, n: int):
-    """Per-row (degenerate mask, t values); t is garbage where degenerate."""
-    degenerate = (vals == vals[:, :1]).all(axis=1)
-    means = vals.mean(axis=1)
-    ss = ((vals - means[:, None]) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
-    return degenerate, t
-
-
 def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
     """Apply count_block over contiguous index ranges of at most block
     indices each, threaded when asked.
@@ -146,6 +135,38 @@ def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
         return list(pool.map(lambda r: count_block(*r), ranges))
 
 
+def _double(states: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Extend prefix states (rows: partial sums, then running maxima if
+    present) over mags; state i becomes states i (sign -) and i + k (+)."""
+    k = states.shape[1]
+    out = np.empty((len(states), k << mags.size))
+    out[:, :k] = states
+    s = out[0]
+    for a in mags:
+        np.add(s[:k], a, out=s[k : 2 * k])
+        np.subtract(s[:k], a, out=s[:k])
+        for m in out[1:]:
+            # S - a <= S <= M, so only the + branch can raise the maximum.
+            np.maximum(m[:k], s[k : 2 * k], out=m[k : 2 * k])
+        k *= 2
+    return out
+
+
+def _enumerate(arr: np.ndarray, running_max: bool, count_block, workers: int) -> list:
+    """count_block(lo, hi, stats) over blocks [lo, hi) of the 2^n sign vectors;
+    stats are running maxima if running_max, else final sums.  The first
+    block starts with the all-minus vector, the last ends with all-plus."""
+    n = arr.size
+    t = min(n - 1, _TAIL)
+    first = np.array([[-arr[0], arr[0]]] * (1 + running_max))
+    head = _double(first, arr[1 : n - t])
+
+    def extend(lo: int, hi: int):
+        return count_block(lo, hi, _double(head[:, lo >> t : hi >> t], arr[n - t :])[-1])
+
+    return _map_blocks(extend, 1 << n, workers, 1 << min(n, _TAIL))
+
+
 def exact_tail_multi(
     mags,
     beta: float,
@@ -156,22 +177,17 @@ def exact_tail_multi(
     """exact_tail at several thresholds sharing one enumeration pass."""
     arr = _check_magnitudes(mags)
     b = _beta_value(beta)
-    stat = _check_stat(stat)
+    if stat not in (RUNNING_MAX, FINAL_SUM):
+        raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
     workers = _resolve_workers(workers)
-    n = arr.size
     v = v_norm(arr, b)
-    cuts = np.array([tie_guarded(_check_x(x)) * v for x in xs])
-    total = 1 << n
+    cuts = [tie_guarded(_check_x(x)) * v for x in xs]
+    total = 1 << arr.size
 
-    def count_block(lo: int, hi: int) -> np.ndarray:
-        vals = _sign_matrix(n, lo, hi) * arr[None, :]
-        if stat == RUNNING_MAX:
-            stats = np.cumsum(vals, axis=1).max(axis=1)
-        else:
-            stats = vals.sum(axis=1)
-        return (stats[:, None] >= cuts[None, :]).sum(axis=0)
+    def count_block(lo: int, hi: int, stats: np.ndarray) -> np.ndarray:
+        return np.array([np.count_nonzero(stats >= c) for c in cuts], dtype=np.int64)
 
-    counts = sum(_map_blocks(count_block, total, workers, _BLOCK))
+    counts = sum(_enumerate(arr, stat == RUNNING_MAX, count_block, workers))
     return [ExactTail(hits=int(c), total=total) for c in counts]
 
 
@@ -218,21 +234,27 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     cut_t = tie_guarded(x)
     cut_sum = tie_guarded(tau) * v_norm(arr, 2.0)
     total = 1 << n
+    square_sum = float((arr * arr).sum())
+    # Zero sample deviation needs a constant vector, so equal magnitudes:
+    # all minus (first in the first block) and all plus (last in the last).
+    constant = bool(np.all(arr == arr[0]))
 
-    def count_block(lo: int, hi: int) -> np.ndarray:
-        vals = _sign_matrix(n, lo, hi) * arr[None, :]
-        degenerate, t = _tstat_parts(vals, n)
-        live = ~degenerate
-        direct = live & (t >= cut_t)
-        ident = live & (vals.sum(axis=1) >= cut_sum)
-        return np.array(
-            [direct.sum(), degenerate.sum(), (direct != ident).sum()], dtype=np.int64
-        )
+    def count_block(lo: int, hi: int, sums: np.ndarray) -> np.ndarray:
+        # Clamped so that cancellation cannot make a tiny deviation negative.
+        ss = np.maximum(square_sum - sums * sums / n, 0.0)
+        with np.errstate(divide="ignore"):
+            direct = np.sqrt(float(n)) * (sums / n) / np.sqrt(ss / (n - 1)) >= cut_t
+        ident = sums >= cut_sum
+        for i, edge in ((0, lo == 0), (-1, hi == total)):
+            if constant and edge:
+                direct[i] = ident[i] = False
+        return np.array([np.count_nonzero(direct), np.count_nonzero(direct != ident)])
 
-    hits, degenerate, disagree = sum(_map_blocks(count_block, total, workers, _BLOCK))
+    hits, disagree = sum(_enumerate(arr, False, count_block, workers))
+    degenerate = 2 if constant else 0
     if disagree:
         raise RuntimeError(
             f"t-statistic event and its self-normalized form disagree on "
             f"{disagree} of {total} sign vectors"
         )
-    return ExactTail(hits=int(hits), total=total, degenerate=int(degenerate))
+    return ExactTail(hits=int(hits), total=total, degenerate=degenerate)

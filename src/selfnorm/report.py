@@ -21,6 +21,7 @@ from .bounds import (
     threshold_from_s,
 )
 from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_multi
+from .oracle import _resolve_workers
 from .simulate import DistributionSpec, estimate_tail, estimate_tail_multi
 
 # run_sweep calls only the multi-threshold forms; exact_tail and
@@ -83,8 +84,10 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     Each (n, beta) pair runs one enumeration and one Monte Carlo stream for
     all its s values.  Unavailable entries (enumeration over the budget,
     random-magnitude laws, endpoint cells for the numeric minimizer, Monte
-    Carlo turned off) are None.
+    Carlo turned off) are None.  The worker count is resolved before any
+    cell, so a bad SELFNORM_THREADS fails even when no kernel would run.
     """
+    workers = _resolve_workers(workers)
     dist = grid.dist
     blank = [None] * len(grid.s_values)
     rows = []

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from .bounds import _beta_value, _check_n, _check_x, tstat_threshold
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
-from .oracle import _map_blocks, _resolve_workers, _tstat_parts
+from .oracle import _map_blocks, _resolve_workers
 
 __all__ = [
     "TSTAT",
@@ -32,6 +32,7 @@ __all__ = [
     "TailEstimate",
     "LogRatePoint",
     "wilson_interval",
+    "respects",
     "trial_stream",
     "sample_vector",
     "estimate_tail",
@@ -192,20 +193,15 @@ def wilson_interval(hits: int, trials: int, z: float = Z99) -> tuple[float, floa
     return low, high
 
 
+def respects(estimate: TailEstimate, bound: float) -> bool:
+    """True when p_hat <= bound + 3 half-widths of its 99% interval."""
+    return estimate.p_hat <= bound + 3.0 * (estimate.ci_high - estimate.p_hat)
+
+
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= _U64:
+    if _check_n(seed, 0, "seed") > _U64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     return int(seed)
-
-
-def _check_trials(trials: int) -> int:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return int(trials)
 
 
 def _doubles_per_trial(n: int) -> int:
@@ -220,13 +216,6 @@ def trial_stream(seed: int, n: int, trial_index: int) -> Generator:
     bit_gen = Philox(key=_check_seed(seed))
     bit_gen.advance(trial_index * c // 4)
     return Generator(bit_gen)
-
-
-def _uniform_block(seed: int, n: int, lo: int, hi: int) -> np.ndarray:
-    c = _doubles_per_trial(n)
-    bit_gen = Philox(key=seed)
-    bit_gen.advance(lo * c // 4)
-    return Generator(bit_gen).random((hi - lo, c))
 
 
 def _transform(spec: DistributionSpec, u_mag: np.ndarray, u_sign: np.ndarray) -> np.ndarray:
@@ -261,8 +250,18 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
     return _transform(spec, u[:n], u[n:])
 
 
+def _tstat_parts(vals: np.ndarray, n: int):
+    """Per-row (degenerate mask, t values); t is garbage where degenerate."""
+    degenerate = (vals == vals[:, :1]).all(axis=1)
+    means = vals.mean(axis=1)
+    ss = ((vals - means[:, None]) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
+    return degenerate, t
+
+
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    u = _uniform_block(seed, n, lo, hi)
+    u = trial_stream(seed, n, lo).random((hi - lo, _doubles_per_trial(n)))
     return _transform(spec, u[:, :n], u[:, n : 2 * n])
 
 
@@ -287,7 +286,7 @@ def estimate_tail_multi(
     n = _check_n(n, minimum=2 if stat == TSTAT else 1)
     b = _beta_value(beta)
     cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
-    trials = _check_trials(trials)
+    trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     spec.check_length(n)
@@ -365,7 +364,7 @@ def efron_check(
     """
     n = _check_n(n, minimum=2)
     x = _check_x(x)
-    trials = _check_trials(trials)
+    trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     tau = tstat_threshold(n, x)

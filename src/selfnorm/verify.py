@@ -213,25 +213,25 @@ _ORACLE_BETAS = (1.5, 2.0, 3.0)
 _ORACLE_S = tuple(k / 10.0 for k in range(1, 11))
 
 
+def _oracle_cells(vectors):
+    """(n, beta, s, exact running-max tail, bound_bn) over the oracle grid."""
+    for mags in vectors:
+        n = len(mags)
+        for beta in _ORACLE_BETAS:
+            xs = [threshold_from_s(n, beta, s) for s in _ORACLE_S]
+            tails = exact_tail_multi(mags, beta, xs, RUNNING_MAX)
+            for s, x, tail in zip(_ORACLE_S, xs, tails):
+                yield n, beta, s, tail.probability, bound_bn(n, beta, x).value
+
+
 def oracle_below_bound(fast: bool) -> str:
     """Exact running-maximum tails never exceed bound_bn (unit magnitudes)."""
     top_n = 10 if fast else 16
-    worst = math.inf
-    cells = 0
-    for n in range(1, top_n + 1):
-        for beta in _ORACLE_BETAS:
-            xs = [threshold_from_s(n, beta, s) for s in _ORACLE_S]
-            tails = exact_tail_multi([1.0] * n, beta, xs, RUNNING_MAX)
-            for s, x, tail in zip(_ORACLE_S, xs, tails):
-                b = bound_bn(n, beta, x).value
-                _require(
-                    tail.probability <= b,
-                    f"exact tail {tail.probability!r} exceeds bound {b!r} "
-                    f"at n={n} beta={beta} s={s}",
-                )
-                worst = min(worst, b - tail.probability)
-                cells += 1
-    return f"{cells} cells; smallest slack {worst:.2e}"
+    slack = []
+    for n, beta, s, p, b in _oracle_cells([[1.0] * n for n in range(1, top_n + 1)]):
+        _require(p <= b, f"exact tail {p!r} exceeds bound {b!r} at n={n} beta={beta} s={s}")
+        slack.append(b - p)
+    return f"{len(slack)} cells; smallest slack {min(slack):.2e}"
 
 
 def _weighted_vectors(fast: bool) -> list[np.ndarray]:
@@ -249,18 +249,9 @@ def _weighted_vectors(fast: bool) -> list[np.ndarray]:
 def weighted_oracle_below_bound(fast: bool) -> str:
     """The same domination for drawn nonuniform magnitude vectors."""
     cells = 0
-    for mags in _weighted_vectors(fast):
-        n = len(mags)
-        for beta in _ORACLE_BETAS:
-            xs = [threshold_from_s(n, beta, s) for s in _ORACLE_S]
-            tails = exact_tail_multi(mags, beta, xs, RUNNING_MAX)
-            for s, x, tail in zip(_ORACLE_S, xs, tails):
-                b = bound_bn(n, beta, x).value
-                _require(
-                    tail.probability <= b,
-                    f"weighted exact tail exceeds bound at n={n} beta={beta} s={s}",
-                )
-                cells += 1
+    for n, beta, s, p, b in _oracle_cells(_weighted_vectors(fast)):
+        _require(p <= b, f"weighted exact tail exceeds bound at n={n} beta={beta} s={s}")
+        cells += 1
     return f"{cells} weighted cells dominated"
 
 
@@ -354,31 +345,27 @@ def bound_respect(fast: bool) -> str:
         DistributionSpec.two_point(3.7),
         DistributionSpec.pareto(1.2),
     )
-    cells = 0
-    for i, spec in enumerate(specs):
-        for stat in (RUNNING_MAX, FINAL_SUM):
-            for n, s in ((8, 0.4), (20, 0.7)):
-                x = threshold_from_s(n, 2.0, s)
-                est = estimate_tail(spec, n, 2.0, x, stat, trials, seed=1000 + cells)
-                b = bound_bn(n, 2.0, x).value
-                margin = 3.0 * (est.ci_high - est.p_hat)
-                _require(
-                    est.p_hat <= b + margin,
-                    f"{spec.kind} {stat} n={n} s={s}: p_hat {est.p_hat} "
-                    f"exceeds bound {b} + {margin}",
-                )
-                cells += 1
-    for spec in (DistributionSpec.gaussian(), DistributionSpec.rademacher()):
-        for x in (1.5, 2.5):
-            est = estimate_tail(spec, 10, 2.0, x, simulate.TSTAT, trials, seed=2000 + cells)
-            b = bound_tstat(10, x).value
-            margin = 3.0 * (est.ci_high - est.p_hat)
-            _require(
-                est.p_hat <= b + margin,
-                f"{spec.kind} tstat x={x}: p_hat {est.p_hat} exceeds bound {b} + {margin}",
-            )
-            cells += 1
-    return f"{cells} cells respected their bound"
+    # (spec, stat, n, x, seed base); seeds run base + cell index.
+    cells = [
+        (spec, stat, n, threshold_from_s(n, 2.0, s), 1000)
+        for spec in specs
+        for stat in (RUNNING_MAX, FINAL_SUM)
+        for n, s in ((8, 0.4), (20, 0.7))
+    ]
+    cells += [
+        (spec, simulate.TSTAT, 10, x, 2000)
+        for spec in (DistributionSpec.gaussian(), DistributionSpec.rademacher())
+        for x in (1.5, 2.5)
+    ]
+    for i, (spec, stat, n, x, base) in enumerate(cells):
+        est = estimate_tail(spec, n, 2.0, x, stat, trials, seed=base + i)
+        b = (bound_tstat(n, x) if stat == simulate.TSTAT else bound_bn(n, 2.0, x)).value
+        _require(
+            simulate.respects(est, b),
+            f"{spec.kind} {stat} n={n} x={x}: p_hat {est.p_hat} "
+            f"exceeds bound {b} + {3.0 * (est.ci_high - est.p_hat)}",
+        )
+    return f"{len(cells)} cells respected their bound"
 
 
 def oracle_agreement(fast: bool) -> str:
@@ -477,21 +464,20 @@ _SWEEP_GRID = report.SweepGrid(
 def sweep_round_trip(fast: bool) -> str:
     """CSV/JSON rendering re-parses to the same values at 12 digits."""
     rows = report.run_sweep(_SWEEP_GRID, workers=1)
-    parsed = report.parse_csv(report.render_csv(rows))
-    _require(len(parsed) == len(rows), "row count changed through CSV")
-    for row, back in zip(rows, parsed):
-        for col in report.COLUMNS:
-            value = row[col]
-            expected = float(f"{value:.12g}") if isinstance(value, float) else value
-            _require(
-                back[col] == expected,
-                f"column {col} changed through CSV: {back[col]!r} != {expected!r}",
-            )
-    for rec, row in zip(json.loads(report.render_json(rows)), rows):
-        for col in report.COLUMNS:
-            value = row[col]
-            expected = float(f"{value:.12g}") if isinstance(value, float) else value
-            _require(rec[col] == expected, f"column {col} changed through JSON")
+    parsed = {
+        "CSV": report.parse_csv(report.render_csv(rows)),
+        "JSON": json.loads(report.render_json(rows)),
+    }
+    for fmt, records in parsed.items():
+        _require(len(records) == len(rows), f"row count changed through {fmt}")
+        for row, back in zip(rows, records):
+            for col in report.COLUMNS:
+                value = row[col]
+                expected = float(f"{value:.12g}") if isinstance(value, float) else value
+                _require(
+                    back[col] == expected,
+                    f"column {col} changed through {fmt}: {back[col]!r} != {expected!r}",
+                )
     return f"{len(rows)} rows round-tripped in CSV and JSON"
 
 

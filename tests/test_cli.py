@@ -294,6 +294,20 @@ class TestProcessLevel:
         assert code == 2
         assert err.startswith("error: SELFNORM_THREADS")
 
+    def test_bad_thread_env_exits_two_when_no_kernel_runs(self):
+        # Trials 0 with a random-magnitude law runs no oracle and no Monte
+        # Carlo, so the worker count must be checked before any cell.
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfnorm", "sweep", "--n", "8", "--s", "0.5",
+             "--dist", "gaussian", "--trials", "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, SELFNORM_THREADS="abc"),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: SELFNORM_THREADS must be a positive integer, got 'abc'\n"
+
     def test_thread_env_does_not_change_bytes(self, tmp_path):
         outputs = []
         for threads in ("1", "2", "8"):

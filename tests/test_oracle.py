@@ -1,17 +1,21 @@
 """Unit tests for exact sign-vector enumeration.
 
 Hand-countable cells are frozen as integers; larger cells are checked
-against an independent pure-Python enumeration over itertools.product so
-the vectorized bit-twiddling path never verifies itself.
+against independent references (a pure-Python enumeration over
+itertools.product, a sign matrix reduced row by row, and closed-form
+counts for unit magnitudes) so the prefix-doubling kernel never verifies
+itself.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from selfnorm import oracle
 from selfnorm import (
     FINAL_SUM,
     MAX_ENUM_N,
@@ -20,6 +24,7 @@ from selfnorm import (
     exact_tail,
     exact_tail_multi,
     exact_tstat_tail,
+    threshold_from_s,
     tie_guarded,
     tstat_threshold,
     v_norm,
@@ -52,6 +57,29 @@ def brute_tstat(mags, x):
         t = math.sqrt(n) * mean / math.sqrt(ss / (n - 1))
         hits += t >= cut
     return hits, degenerate
+
+
+def sign_matrix_stats(mags, stat):
+    """Reference statistics: one row per sign vector, cumulative sums.
+
+    Row i has sign + at coordinate j when bit j of i is set.  The final sum
+    is the last cumulative sum, the kernel's sequential summation order.
+    """
+    n = len(mags)
+    idx = np.arange(1 << n, dtype=np.uint64)
+    bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    prefix = np.cumsum((bits * 2.0 - 1.0) * np.asarray(mags, dtype=float), axis=1)
+    return prefix.max(axis=1) if stat == RUNNING_MAX else prefix[:, -1]
+
+
+def binomial_tail(n, m):
+    """#{S_n >= m} for unit magnitudes: S_n = 2k - n with k plus signs."""
+    return sum(math.comb(n, k) for k in range(max(0, (m + n + 1) // 2), n + 1))
+
+
+def reflection_count(n, m):
+    """#{max_k S_k >= m} = #{S_n >= m} + #{S_n > m} for m >= 1 (Andre)."""
+    return binomial_tail(n, m) + binomial_tail(n, m + 1)
 
 
 # (mags, beta, x, stat) -> hits; total is 2^len(mags).
@@ -179,6 +207,110 @@ class TestExactTstatTail:
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
             exact_tstat_tail([1.0], 1.0)
+
+
+def _drawn_magnitudes(rng, n):
+    """Float magnitudes with a zero and a repeated value where n allows."""
+    mags = rng.uniform(0.0, 2.5, n)
+    if n >= 3:
+        mags[int(rng.integers(0, n))] = 0.0
+        i, j = rng.choice(n, 2, replace=False)
+        mags[i] = mags[j]
+    if not mags.any():
+        mags[0] = 1.0
+    return mags
+
+
+class TestKernelCrossCheck:
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 16, 17])
+    def test_statistics_bit_identical_to_cumulative_sums(self, stat, n):
+        mags = _drawn_magnitudes(np.random.default_rng(n), n)
+        blocks = oracle._enumerate(mags, stat == RUNNING_MAX, lambda lo, hi, v: v.copy(), 1)
+        kernel = np.sort(np.concatenate(blocks))
+        assert np.array_equal(kernel, np.sort(sign_matrix_stats(mags, stat)))
+
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_float_magnitudes_match_sign_matrix(self, stat):
+        rng = np.random.default_rng(2024)
+        for n in list(range(1, 15)) * 3:
+            mags = _drawn_magnitudes(rng, n)
+            beta = float(rng.choice([1.5, 2.0, 3.0]))
+            v = v_norm(mags, beta)
+            ref = sign_matrix_stats(mags, stat)
+            # Unsorted, duplicated, and two thresholds sitting on atoms.
+            xs = [0.7, 0.2, 0.7, 0.05, 1.3]
+            xs += [float(a) / v for a in rng.choice(ref[ref > 0], 2)]
+            tails = exact_tail_multi(mags, beta, xs, stat)
+            expected = [int(np.count_nonzero(ref >= tie_guarded(x) * v)) for x in xs]
+            assert [t.hits for t in tails] == expected
+            assert all(t.total == 1 << n for t in tails)
+
+    def test_tstat_matches_brute_force(self):
+        rng = np.random.default_rng(2025)
+        vectors = [_drawn_magnitudes(rng, n) for n in list(range(2, 13)) * 2]
+        vectors += [[0.7] * n for n in (2, 5, 9)] + [[0.0, 1.5, 1.5, 0.0]]
+        for mags in vectors:
+            for x in (0.3, 1.1, 2.4):
+                tail = exact_tstat_tail(mags, x)
+                assert (tail.hits, tail.degenerate) == brute_tstat(list(mags), x)
+
+    def test_near_constant_vectors_keep_routes_in_agreement(self):
+        # Magnitudes equal to within 1e-11 relative: for the all-plus vector
+        # the sample deviation cancels to rounding noise in
+        # sum(a^2) - S_n^2 / n, which comes out negative here.
+        mags = [
+            1.383983204038072,
+            1.383983204013423,
+            1.3839832040325633,
+            1.3839832040293074,
+            1.3839832040130868,
+            1.3839832040322095,
+        ]
+        for x in (0.5, 1.5):
+            tail = exact_tstat_tail(mags, x)
+            assert (tail.hits, tail.degenerate) == brute_tstat(mags, x)
+
+    def test_workers_agree_across_blocks(self):
+        mags = np.random.default_rng(2026).uniform(0.1, 2.0, 18)
+        xs = [0.9, 0.3, 1.7, 0.3]
+        for stat in (RUNNING_MAX, FINAL_SUM):
+            one = exact_tail_multi(mags, 2.0, xs, stat, workers=1)
+            assert exact_tail_multi(mags, 2.0, xs, stat, workers=2) == one
+        assert exact_tstat_tail(mags, 1.2, workers=2) == exact_tstat_tail(mags, 1.2, workers=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 16, 17, 21, 24])
+    def test_unit_magnitudes_match_closed_forms(self, n):
+        beta = 2.0 if n % 2 else 1.5
+        xs = [threshold_from_s(n, beta, s) for s in (0.95, 0.1, 0.45, 0.7, 1.0)]
+        cuts = [math.ceil(tie_guarded(x) * v_norm([1.0] * n, beta)) for x in xs]
+        run = exact_tail_multi([1.0] * n, beta, xs, RUNNING_MAX)
+        fin = exact_tail_multi([1.0] * n, beta, xs, FINAL_SUM)
+        assert [t.hits for t in run] == [reflection_count(n, m) for m in cuts]
+        assert [t.hits for t in fin] == [binomial_tail(n, m) for m in cuts]
+
+
+class TestBoundedMemory:
+    # One block holds 2^16 sign vectors whatever n is; the ceiling is fixed.
+    CEILING = 8 << 20
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: exact_tail([1.0] * 24, 2.0, 2.0, RUNNING_MAX, workers=1),
+            lambda: exact_tail([1.0] * 24, 2.0, 2.0, FINAL_SUM, workers=1),
+            lambda: exact_tstat_tail([1.0] * 24, 1.0, workers=1),
+        ],
+        ids=["running_max", "final_sum", "tstat"],
+    )
+    def test_peak_allocation_at_n24(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.CEILING
 
 
 class TestValidation:

@@ -22,7 +22,7 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
-from selfnorm.simulate import Z99
+from selfnorm.simulate import Z99, TailEstimate, respects
 
 
 class TestDistributionSpec:
@@ -93,6 +93,25 @@ class TestWilson:
             wilson_interval(11, 10)
         with pytest.raises(ValueError):
             wilson_interval(-1, 10)
+
+
+class TestRespects:
+    def test_three_half_widths_is_the_edge(self):
+        # Half-width 0.0625, so the bound may sit 0.1875 below p_hat.
+        est = TailEstimate(25, 100, 0.25, 0.2, 0.3125, seed=0, degenerate_count=0)
+        assert respects(est, 0.0625)
+        assert respects(est, 0.3)
+        assert not respects(est, 0.0624)
+
+    def test_rejects_negative_seed_and_bad_trials(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, seed=-1)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, seed=1 << 64)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=2.0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=0)
 
 
 SPECS = [
