@@ -31,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (16, 20, 24)
 STATS = ("running_max", "final_sum", "tstat")
+# Each (stat, n) cell repeats its call for this long; BIG_N gets one call.
+MIN_SECONDS = 1.0
+BIG_N = 30
 
 
 def _git_sha(src: Path) -> str:
@@ -88,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="key the run is stored under")
     parser.add_argument("--src", default=str(ROOT / "src"), help="tree to import selfnorm from")
     parser.add_argument("--out", default=str(ROOT / "BENCH_oracle.json"))
-    parser.add_argument("--min-seconds", type=float, default=1.0, help="timing per cell")
-    parser.add_argument("--big-n", type=int, default=30, help="size of the single long call")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -97,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
     import selfnorm as sn
 
-    records = [_measure(sn, stat, n, args.min_seconds) for n in SIZES for stat in STATS]
-    records.append(_measure(sn, "running_max", args.big_n, 0.0))
+    records = [_measure(sn, stat, n, MIN_SECONDS) for n in SIZES for stat in STATS]
+    records.append(_measure(sn, "running_max", BIG_N, 0.0))
     for rec in records:
         print(
             f"{rec['stat']:<12} n={rec['n']:<3} {rec['best_s']:10.4f} s "

@@ -74,11 +74,11 @@ def _beta_value(beta: float | BetaParam) -> float:
     return BetaParam(beta).beta
 
 
-def _check_n(n: int, minimum: int = 1, name: str = "n") -> int:
+def _check_n(n: int, minimum: int = 1) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+        raise ValueError(f"n must be >= {minimum}, got {n}")
     return int(n)
 
 

@@ -265,11 +265,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.split(","))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(token) for token in text.split(","))
+
+
 def cmd_sweep(args) -> int:
     grid = report.SweepGrid(
-        n_values=tuple(map(int, args.n.split(","))),
-        beta_values=tuple(map(float, args.beta.split(","))),
-        s_values=tuple(map(float, args.s.split(","))),
+        n_values=_int_list(args.n),
+        beta_values=_float_list(args.beta),
+        s_values=_float_list(args.s),
         stat=_STATS[args.stat],
         dist=_parse_dist(args.dist),
         trials=args.trials,

@@ -179,7 +179,7 @@ def exact_tail_multi(
     b = _beta_value(beta)
     if stat not in (RUNNING_MAX, FINAL_SUM):
         raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
-    workers = _resolve_workers(workers)
+    _resolve_workers(workers)
     v = v_norm(arr, b)
     cuts = [tie_guarded(_check_x(x)) * v for x in xs]
     total = 1 << arr.size
@@ -187,7 +187,9 @@ def exact_tail_multi(
     def count_block(lo: int, hi: int, stats: np.ndarray) -> np.ndarray:
         return np.array([np.count_nonzero(stats >= c) for c in cuts], dtype=np.int64)
 
-    counts = sum(_enumerate(arr, stat == RUNNING_MAX, count_block, workers))
+    # A sum-statistic block is a few short numpy calls, so threads would
+    # only contend for the interpreter lock: blocks run in one thread.
+    counts = sum(_enumerate(arr, stat == RUNNING_MAX, count_block, 1))
     return [ExactTail(hits=int(c), total=total) for c in counts]
 
 
@@ -209,8 +211,8 @@ def exact_tail(
         beta: variation exponent > 1.
         x: threshold on the self-normalized scale, > 0.
         stat: "running_max" or "final_sum".
-        workers: enumeration threads; defaults to SELFNORM_THREADS or 1.
-            The count is identical for every worker count.
+        workers: checked like exact_tstat_tail's (default SELFNORM_THREADS
+            or 1), but sum statistics always enumerate in one thread.
     """
     return exact_tail_multi(mags, beta, [x], stat, workers)[0]
 
@@ -235,19 +237,26 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     cut_sum = tie_guarded(tau) * v_norm(arr, 2.0)
     total = 1 << n
     square_sum = float((arr * arr).sum())
-    # Zero sample deviation needs a constant vector, so equal magnitudes:
-    # all minus (first in the first block) and all plus (last in the last).
+    # Only the all-minus (first in the first block) and all-plus (last in
+    # the last) vectors can be constant, and only with equal magnitudes.
+    # They are also the only vectors whose deviation can cancel in
+    # sum(a^2) - S_n^2 / n: any other has two coordinates of opposite sign
+    # (or a zero), so its ss is at least sum(a^2) / 2n.  Their t therefore
+    # comes from the centred magnitudes.
     constant = bool(np.all(arr == arr[0]))
+    mean = arr.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_plus = np.sqrt(float(n)) * mean / np.sqrt(((arr - mean) ** 2).sum() / (n - 1))
 
     def count_block(lo: int, hi: int, sums: np.ndarray) -> np.ndarray:
-        # Clamped so that cancellation cannot make a tiny deviation negative.
-        ss = np.maximum(square_sum - sums * sums / n, 0.0)
-        with np.errstate(divide="ignore"):
+        ss = square_sum - sums * sums / n
+        with np.errstate(divide="ignore", invalid="ignore"):
             direct = np.sqrt(float(n)) * (sums / n) / np.sqrt(ss / (n - 1)) >= cut_t
         ident = sums >= cut_sum
-        for i, edge in ((0, lo == 0), (-1, hi == total)):
-            if constant and edge:
-                direct[i] = ident[i] = False
+        for i, edge, t in ((0, lo == 0, -t_plus), (-1, hi == total, t_plus)):
+            if edge:
+                direct[i] = not constant and t >= cut_t
+                ident[i] &= not constant
         return np.array([np.count_nonzero(direct), np.count_nonzero(direct != ident)])
 
     hits, disagree = sum(_enumerate(arr, False, count_block, workers))

@@ -199,9 +199,19 @@ def respects(estimate: TailEstimate, bound: float) -> bool:
 
 
 def _check_seed(seed: int) -> int:
-    if _check_n(seed, 0, "seed") > _U64:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed <= _U64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     return int(seed)
+
+
+def _check_trials(trials: int) -> int:
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return int(trials)
 
 
 def _doubles_per_trial(n: int) -> int:
@@ -286,7 +296,7 @@ def estimate_tail_multi(
     n = _check_n(n, minimum=2 if stat == TSTAT else 1)
     b = _beta_value(beta)
     cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
-    trials = _check_n(trials, name="trials")
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     spec.check_length(n)
@@ -364,7 +374,7 @@ def efron_check(
     """
     n = _check_n(n, minimum=2)
     x = _check_x(x)
-    trials = _check_n(trials, name="trials")
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     tau = tstat_threshold(n, x)

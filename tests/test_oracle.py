@@ -271,6 +271,20 @@ class TestKernelCrossCheck:
             tail = exact_tstat_tail(mags, x)
             assert (tail.hits, tail.degenerate) == brute_tstat(mags, x)
 
+    @pytest.mark.parametrize("mags", [[1.0, 1.0 + 1e-9], [3.0, 3.0 * (1 + 1e-10), 3.0, 3.0]])
+    def test_near_constant_vectors_at_large_thresholds(self, mags):
+        # The all-plus vector has t of order 1e9-1e10: the one-pass deviation
+        # of that vector is pure rounding noise, so its t must come from the
+        # centred values.  Beyond that t the tie-guarded identity route
+        # still counts it (S_n / V_n sits within 1e-9 of sqrt(n)) and the
+        # routes must refuse to agree rather than both count a hit.
+        for x in (0.5, 1e3, 1e7, 1e8):
+            tail = exact_tstat_tail(mags, x)
+            assert (tail.hits, tail.degenerate) == brute_tstat(mags, x)
+        assert brute_tstat(mags, 1e12) == (0, 0)
+        with pytest.raises(RuntimeError, match="disagree"):
+            exact_tstat_tail(mags, 1e12)
+
     def test_workers_agree_across_blocks(self):
         mags = np.random.default_rng(2026).uniform(0.1, 2.0, 18)
         xs = [0.9, 0.3, 1.7, 0.3]
@@ -317,6 +331,25 @@ class TestValidation:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             exact_tail([1.0] * (MAX_ENUM_N + 1), 2.0, 1.0)
+
+    def test_rejects_bad_workers(self, monkeypatch):
+        with pytest.raises(ValueError, match="worker count"):
+            exact_tail([1.0] * 3, 2.0, 1.0, workers=0)
+        monkeypatch.setenv("SELFNORM_THREADS", "abc")
+        with pytest.raises(ValueError, match="SELFNORM_THREADS"):
+            exact_tail([1.0] * 3, 2.0, 1.0)
+
+    def test_sum_statistics_enumerate_in_one_thread(self, monkeypatch):
+        # Threads lose on the short sum-statistic blocks; only the
+        # t-statistic may hand its blocks to a pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+        for stat in (RUNNING_MAX, FINAL_SUM):
+            exact_tail_multi([1.0] * 18, 2.0, [0.5, 1.0], stat, workers=2)
+        with pytest.raises(AssertionError, match="thread pool"):
+            exact_tstat_tail([1.0] * 18, 1.0, workers=2)
 
     def test_accepts_multi_block_sizes(self):
         # n = 18 spans several enumeration blocks without blowing the runtime.

@@ -103,11 +103,12 @@ class TestRespects:
         assert respects(est, 0.3)
         assert not respects(est, 0.0624)
 
-    def test_rejects_negative_seed_and_bad_trials(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, seed=-1)
-        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, seed=1 << 64)
+
+class TestArgumentChecks:
+    def test_rejects_bad_seed_and_trials(self):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+                estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, seed=seed)
         with pytest.raises(ValueError, match="trials must be an integer"):
             estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=2.0)
         with pytest.raises(ValueError, match="trials must be >= 1"):
