@@ -74,11 +74,11 @@ def _beta_value(beta: float | BetaParam) -> float:
     return BetaParam(beta).beta
 
 
-def _check_n(n: int, minimum: int = 1) -> int:
+def _check_n(n: int, minimum: int = 1, name: str = "n") -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return int(n)
 
 
@@ -114,6 +114,7 @@ class BernsteinResult:
     lambda_star: float
     objective_value: float
     iterations: int
+    log_objective: float  # the minimum f(lambda_star); objective_value is its exp
 
 
 def endpoint_threshold(n: int, beta: float | BetaParam) -> float:
@@ -216,6 +217,11 @@ def bound_bn_entropy_form(n: int, beta: float | BetaParam, x: float) -> BoundEva
     return _evaluate(n, beta, x, _log_bn_entropy)
 
 
+def _corollary_exponent(n: int, b: float, x: float) -> float:
+    """q = x^2 n^(2/beta - 1) / 2, so that bound_corollary = min(1, exp(-q))."""
+    return 0.5 * x * x * float(n) ** (2.0 / b - 1.0)
+
+
 def bound_corollary(n: int, beta: float | BetaParam, x: float) -> float:
     """Sub-Gaussian relaxation exp(-x^2 n^(2/beta - 1) / 2).
 
@@ -225,8 +231,7 @@ def bound_corollary(n: int, beta: float | BetaParam, x: float) -> float:
     n = _check_n(n)
     b = _beta_value(beta)
     x = _check_x(x)
-    q = 0.5 * x * x * float(n) ** (2.0 / b - 1.0)
-    return min(1.0, math.exp(-q))
+    return min(1.0, math.exp(-_corollary_exponent(n, b, x)))
 
 
 def corollary_is_extrapolated(beta: float | BetaParam) -> bool:
@@ -341,7 +346,8 @@ def bernstein_numeric(
             fd = f(d)
         iterations += 1
     lam = 0.5 * (lo + hi)
-    return BernsteinResult(lam, math.exp(f(lam)), iterations)
+    log_objective = f(lam)
+    return BernsteinResult(lam, math.exp(log_objective), iterations, log_objective)
 
 
 def tstat_threshold(n: int, x: float) -> float:
@@ -355,6 +361,13 @@ def tstat_threshold(n: int, x: float) -> float:
     x = _check_x(x)
     raw = x * math.sqrt(n / (n + x * x - 1.0))
     return min(raw, endpoint_threshold(n, 2.0))
+
+
+def _t_value(n: int, mean, ss):
+    """Student's t sqrt(n) mean / sqrt(ss / (n - 1)) from the sample mean and
+    the sum of squared deviations ss; inf or nan, silently, where ss is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(float(n)) * mean / np.sqrt(ss / (n - 1))
 
 
 def bound_tstat(n: int, x: float) -> BoundEvaluation:

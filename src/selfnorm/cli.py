@@ -18,6 +18,8 @@ import numpy as np
 from . import report
 from . import verify as verify_mod
 from .bounds import (
+    _corollary_exponent,
+    alpha_in_mdp_window,
     bernstein_numeric,
     bound_bn,
     bound_bn_entropy_form,
@@ -25,11 +27,8 @@ from .bounds import (
     bound_rescaled,
     bound_tstat,
     corollary_is_extrapolated,
-    endpoint_threshold,
-    log_cosh,
     mdp_alpha_window,
     threshold_from_s,
-    tstat_threshold,
     two_sided_bound,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tstat_tail
@@ -100,12 +99,11 @@ def _require_x(args, context: str) -> float:
 
 
 def _corollary_pairs(n: int, beta: float, x: float) -> list[tuple[str, object]]:
-    s = x / endpoint_threshold(n, beta)
-    q = 0.5 * x * x * float(n) ** (2.0 / beta - 1.0)
+    evaluation = bound_bn(n, beta, x)
     return [
-        ("s", s),
-        ("regime", bound_bn(n, beta, x).regime),
-        ("log_value", min(0.0, -q)),
+        ("s", evaluation.s),
+        ("regime", evaluation.regime),
+        ("log_value", min(0.0, -_corollary_exponent(n, beta, x))),
         ("value", bound_corollary(n, beta, x)),
         ("extrapolated", corollary_is_extrapolated(beta)),
     ]
@@ -116,11 +114,10 @@ def cmd_bound(args) -> int:
     pairs: list[tuple[str, object]] = [("kind", args.kind), ("n", n)]
     if args.kind == "tstat":
         x = _require_x(args, "kind tstat")
-        tau = tstat_threshold(n, x)
-        evaluation = bound_tstat(n, x)
+        evaluation = bound_tstat(n, x)  # B_n(2, tau) at tau = tstat_threshold(n, x)
         pairs += [
             ("x", x),
-            ("tau", tau),
+            ("tau", evaluation.x),
             ("regime", evaluation.regime),
             ("log_value", evaluation.log_value),
             ("value", evaluation.value),
@@ -143,15 +140,13 @@ def cmd_bound(args) -> int:
         pairs += _corollary_pairs(n, beta, x)
     elif args.kind == "bernstein":
         result = bernstein_numeric(n, beta, x)
-        log_value = -result.lambda_star * x + n * log_cosh(
-            result.lambda_star / float(n) ** (1.0 / beta)
-        )
+        evaluation = bound_bn(n, beta, x)
         pairs += [
-            ("s", x / endpoint_threshold(n, beta)),
-            ("regime", bound_bn(n, beta, x).regime),
+            ("s", evaluation.s),
+            ("regime", evaluation.regime),
             ("lambda_star", result.lambda_star),
             ("iterations", result.iterations),
-            ("log_value", log_value),
+            ("log_value", result.log_objective),
             ("value", result.objective_value),
         ]
     elif args.kind == "two-sided":
@@ -171,7 +166,7 @@ def cmd_bound(args) -> int:
             ("alpha", args.alpha),
             ("alpha_low", low),
             ("alpha_high", high),
-            ("in_window", low < args.alpha < high),
+            ("in_window", alpha_in_mdp_window(beta, args.alpha)),
             ("value", bound_rescaled(n, beta, x, args.alpha)),
             ("scaled_x", scaled),
         ]
@@ -197,31 +192,17 @@ def cmd_oracle(args) -> int:
     if stat == TSTAT:
         x = _require_x(args, "stat tstat")
         tail = exact_tstat_tail(mags, x)
-        bound = bound_tstat(n, x).value
-        pairs = [
-            ("n", n),
-            ("x", x),
-            ("stat", args.stat),
-            ("hits", tail.hits),
-            ("total", tail.total),
-            ("degenerate", tail.degenerate),
-            ("probability", tail.probability),
-            ("bound", bound),
-        ]
+        evaluation = bound_tstat(n, x)
+        pairs: list[tuple[str, object]] = [("n", n), ("x", x)]
     else:
         x = _resolve_x(args, n, args.beta)
         tail = exact_tail(mags, args.beta, x, stat)
-        pairs = [
-            ("n", n),
-            ("beta", args.beta),
-            ("x", x),
-            ("s", x / endpoint_threshold(n, args.beta)),
-            ("stat", args.stat),
-            ("hits", tail.hits),
-            ("total", tail.total),
-            ("probability", tail.probability),
-            ("bound", bound_bn(n, args.beta, x).value),
-        ]
+        evaluation = bound_bn(n, args.beta, x)
+        pairs = [("n", n), ("beta", args.beta), ("x", x), ("s", evaluation.s)]
+    pairs += [("stat", args.stat), ("hits", tail.hits), ("total", tail.total)]
+    if stat == TSTAT:
+        pairs.append(("degenerate", tail.degenerate))
+    pairs += [("probability", tail.probability), ("bound", evaluation.value)]
     _emit(pairs)
     return 0
 
@@ -236,19 +217,16 @@ def cmd_simulate(args) -> int:
     if stat == TSTAT:
         x = _require_x(args, "stat tstat")
         estimate = estimate_tail(dist, n, 2.0, x, stat, args.trials, args.seed)
-        bound = bound_tstat(n, x).value
-        pairs += [("x", x), ("stat", args.stat)]
+        evaluation = bound_tstat(n, x)
+        pairs.append(("x", x))
     else:
         x = _resolve_x(args, n, args.beta)
         estimate = estimate_tail(dist, n, args.beta, x, stat, args.trials, args.seed)
-        bound = bound_bn(n, args.beta, x).value
-        pairs += [
-            ("beta", args.beta),
-            ("x", x),
-            ("s", x / endpoint_threshold(n, args.beta)),
-            ("stat", args.stat),
-        ]
+        evaluation = bound_bn(n, args.beta, x)
+        pairs += [("beta", args.beta), ("x", x), ("s", evaluation.s)]
+    bound = evaluation.value
     pairs += [
+        ("stat", args.stat),
         ("trials", estimate.trials),
         ("seed", estimate.seed),
         ("hits", estimate.hits),

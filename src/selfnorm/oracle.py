@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _beta_value, _check_n, _check_x, tstat_threshold, v_norm
+from .bounds import _beta_value, _check_n, _check_x, _t_value, tstat_threshold, v_norm
 
 __all__ = [
     "MAX_ENUM_N",
@@ -245,13 +245,10 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     # comes from the centred magnitudes.
     constant = bool(np.all(arr == arr[0]))
     mean = arr.mean()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plus = np.sqrt(float(n)) * mean / np.sqrt(((arr - mean) ** 2).sum() / (n - 1))
+    t_plus = _t_value(n, mean, ((arr - mean) ** 2).sum())
 
     def count_block(lo: int, hi: int, sums: np.ndarray) -> np.ndarray:
-        ss = square_sum - sums * sums / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = np.sqrt(float(n)) * (sums / n) / np.sqrt(ss / (n - 1)) >= cut_t
+        direct = _t_value(n, sums / n, square_sum - sums * sums / n) >= cut_t
         ident = sums >= cut_sum
         for i, edge, t in ((0, lo == 0, -t_plus), (-1, hi == total, t_plus)):
             if edge:

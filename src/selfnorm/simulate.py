@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .bounds import _beta_value, _check_n, _check_x, tstat_threshold
+from .bounds import _beta_value, _check_n, _check_x, _t_value, tstat_threshold
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
 from .oracle import _map_blocks, _resolve_workers
 
@@ -206,18 +206,17 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_trials(trials: int) -> int:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return int(trials)
-
-
 def _doubles_per_trial(n: int) -> int:
     # n magnitude uniforms + n sign uniforms, padded to the 4-per-counter
     # granularity Philox advances in.
     return ((2 * n + 3) // 4) * 4
+
+
+def _trial_block(n: int) -> int:
+    # Trials per block: 2^15 up to n = 20; beyond, as many as fit in n = 20's
+    # 10 MB of uniforms, so block memory stays bounded whatever n is.
+    rows = _TRIAL_BLOCK * _doubles_per_trial(20) // _doubles_per_trial(n)
+    return max(1, min(_TRIAL_BLOCK, rows))
 
 
 def trial_stream(seed: int, n: int, trial_index: int) -> Generator:
@@ -265,9 +264,7 @@ def _tstat_parts(vals: np.ndarray, n: int):
     degenerate = (vals == vals[:, :1]).all(axis=1)
     means = vals.mean(axis=1)
     ss = ((vals - means[:, None]) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(float(n)) * means / np.sqrt(ss / (n - 1))
-    return degenerate, t
+    return degenerate, _t_value(n, means, ss)
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -296,7 +293,7 @@ def estimate_tail_multi(
     n = _check_n(n, minimum=2 if stat == TSTAT else 1)
     b = _beta_value(beta)
     cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
-    trials = _check_trials(trials)
+    trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     spec.check_length(n)
@@ -319,7 +316,7 @@ def estimate_tail_multi(
         hits = (live[:, None] >= cuts[None, :]).sum(axis=0)
         return np.append(hits, degenerate.sum())
 
-    *hits, degenerate = sum(_map_blocks(count_block, trials, workers, _TRIAL_BLOCK))
+    *hits, degenerate = sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
     degenerate = int(degenerate)
     estimates = []
     for h in map(int, hits):
@@ -374,7 +371,7 @@ def efron_check(
     """
     n = _check_n(n, minimum=2)
     x = _check_x(x)
-    trials = _check_trials(trials)
+    trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     tau = tstat_threshold(n, x)
@@ -390,7 +387,7 @@ def efron_check(
         live = ~degenerate
         return int((live & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
 
-    return sum(_map_blocks(count_block, trials, workers, _TRIAL_BLOCK))
+    return sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
 
 
 def _mix_seed(seed: int, k: int) -> int:

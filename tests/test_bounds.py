@@ -187,6 +187,15 @@ class TestBernstein:
                 lambda_star(n, beta, x), rel=1e-6
             )
 
+    def test_log_objective_is_the_attained_minimum(self):
+        result = bernstein_numeric(4, 2.0, 1.0)
+        assert result.objective_value == math.exp(result.log_objective)
+        # Deep in the tail the objective underflows; its log stays exact.
+        x = threshold_from_s(10000, 1.2, 0.9)
+        deep = bernstein_numeric(10000, 1.2, x)
+        assert deep.objective_value == 0.0
+        assert deep.log_objective == pytest.approx(bound_bn(10000, 1.2, x).log_value, rel=1e-12)
+
     def test_rejects_endpoint_and_beyond(self):
         with pytest.raises(ValueError):
             bernstein_numeric(4, 2.0, 2.0)

@@ -79,6 +79,49 @@ class TestBoundCommand:
         assert float(rec["value"]) == pytest.approx(math.exp(-2.0), rel=1e-10)
         assert rec["extrapolated"] == "false"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "--n 20 --s 0.5 --kind bernstein",
+                "kind=bernstein n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
+                "lambda_star=2.45657175916 iterations=50 log_value=-2.61624071882 "
+                "value=0.0730770643367",
+            ),
+            (
+                "--n 10000 --beta 1.2 --s 0.9 --kind bernstein",
+                "kind=bernstein n=10000 beta=1.2 x=4.17742995025 s=0.9 regime=interior "
+                "lambda_star=3171.80076716 iterations=49 log_value=-4946.31937214 value=0",
+            ),
+            (
+                "--n 20 --s 0.5 --kind corollary",
+                "kind=corollary n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
+                "log_value=-2.5 value=0.0820849986239 extrapolated=false",
+            ),
+            (
+                "--n 5 --beta 3 --s 1.2 --kind corollary",
+                "kind=corollary n=5 beta=3 x=3.50882128586 s=1.2 regime=impossible "
+                "log_value=-3.6 value=0.0273237224473 extrapolated=true",
+            ),
+            (
+                "--n 100000 --beta 1.5 --s 0.99 --kind corollary",
+                "kind=corollary n=100000 beta=1.5 x=45.9517294528 s=0.99 regime=interior "
+                "log_value=-49005 value=0 extrapolated=false",
+            ),
+        ],
+    )
+    def test_log_value_records(self, capsys, argv, expected):
+        # Deep-tail cells: value underflows to 0 while log_value stays finite.
+        code, out, _ = run_cli(capsys, "bound", *argv.split())
+        assert code == 0
+        assert out == expected + "\n"
+
+    def test_corollary_rejects_n_zero(self, capsys):
+        code, out, err = run_cli(capsys, *"bound --n 0 --x 1 --kind corollary".split())
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be >= 1, got 0\n"
+
     def test_two_sided_kind(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--n", "4", "--beta", "2", "--x", "1.8", "--kind", "two-sided"

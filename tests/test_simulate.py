@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo estimator and its counter-based streams."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
-from selfnorm.simulate import Z99, TailEstimate, respects
+from selfnorm.simulate import Z99, TailEstimate, _trial_block, respects
 
 
 class TestDistributionSpec:
@@ -113,6 +114,27 @@ class TestArgumentChecks:
             estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=2.0)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=0)
+
+
+class TestBlockMemory:
+    def test_small_n_keeps_the_fixed_partition(self):
+        assert all(_trial_block(n) == 1 << 15 for n in range(1, 21))
+        assert _trial_block(1000) == 655
+        assert _trial_block(10**7) == 1
+
+    def test_peak_allocation_bounded_at_large_n(self):
+        # With 2^15-trial blocks these 2000 trials at n = 2000 are one block:
+        # its uniform matrix alone is 64 MB (95 MB traced peak in all).
+        spec = DistributionSpec.rademacher()
+        tracemalloc.start()
+        try:
+            est = estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert est.hits == 649
+        assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
 
 SPECS = [
