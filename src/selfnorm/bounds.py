@@ -26,7 +26,6 @@ __all__ = [
     "INTERIOR",
     "ENDPOINT",
     "IMPOSSIBLE",
-    "BetaParam",
     "BoundEvaluation",
     "BernsteinResult",
     "endpoint_threshold",
@@ -55,23 +54,12 @@ ENDPOINT = "endpoint"
 IMPOSSIBLE = "impossible"
 
 
-@dataclass(frozen=True)
-class BetaParam:
-    """Validated variation exponent; the bound is defined for beta > 1."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        b = float(self.beta)
-        if not math.isfinite(b) or b <= 1.0:
-            raise ValueError(f"beta must be a finite real > 1, got {self.beta!r}")
-        object.__setattr__(self, "beta", b)
-
-
-def _beta_value(beta: float | BetaParam) -> float:
-    if isinstance(beta, BetaParam):
-        return beta.beta
-    return BetaParam(beta).beta
+def _check_beta(beta: float) -> float:
+    """The variation exponent as a float; the bound is defined for beta > 1."""
+    b = float(beta)
+    if not math.isfinite(b) or b <= 1.0:
+        raise ValueError(f"beta must be a finite real > 1, got {beta!r}")
+    return b
 
 
 def _check_n(n: int, minimum: int = 1, name: str = "n") -> int:
@@ -117,20 +105,20 @@ class BernsteinResult:
     log_objective: float  # the minimum f(lambda_star); objective_value is its exp
 
 
-def endpoint_threshold(n: int, beta: float | BetaParam) -> float:
+def endpoint_threshold(n: int, beta: float) -> float:
     """Largest attainable value n^((beta-1)/beta) of the statistic."""
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     return float(n) ** ((b - 1.0) / b)
 
 
-def threshold_from_s(n: int, beta: float | BetaParam, s: float) -> float:
+def threshold_from_s(n: int, beta: float, s: float) -> float:
     """Absolute threshold x = s * n^((beta-1)/beta) for a relative level s."""
     return float(s) * endpoint_threshold(_check_n(n), beta)
 
 
-def v_norm(xs, beta: float | BetaParam) -> float:
+def v_norm(xs, beta: float) -> float:
     """beta-norm (sum_i |x_i|^beta)^(1/beta) of a non-empty sample vector."""
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample vector must be a non-empty one-dimensional sequence")
@@ -161,9 +149,9 @@ def _entropy(s: float) -> float:
     return 0.5 * (1.0 + s) * math.log1p(s) + 0.5 * (1.0 - s) * math.log1p(-s)
 
 
-def _evaluate(n: int, beta: float | BetaParam, x: float, log_interior) -> BoundEvaluation:
+def _evaluate(n: int, beta: float, x: float, log_interior) -> BoundEvaluation:
     n = _check_n(n)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     x = _check_x(x)
     s = x / endpoint_threshold(n, b)
     if s > 1.0:
@@ -190,7 +178,7 @@ def _log_bn_entropy(n: int, b: float, x: float, s: float, t: float) -> float:
     return -n * _entropy(s)
 
 
-def bound_bn(n: int, beta: float | BetaParam, x: float) -> BoundEvaluation:
+def bound_bn(n: int, beta: float, x: float) -> BoundEvaluation:
     """Tail bound B_n(beta, x) in its literal product form, log-evaluated.
 
     For s = x / n^((beta-1)/beta) < 1 and t = (1+s)/(1-s),
@@ -208,7 +196,7 @@ def bound_bn(n: int, beta: float | BetaParam, x: float) -> BoundEvaluation:
     return _evaluate(n, beta, x, _log_bn_product)
 
 
-def bound_bn_entropy_form(n: int, beta: float | BetaParam, x: float) -> BoundEvaluation:
+def bound_bn_entropy_form(n: int, beta: float, x: float) -> BoundEvaluation:
     """Same bound as exp(-n H(s)) with H the binary entropy of (1+s)/2.
 
     Algebraically identical to bound_bn; kept as an independent numeric
@@ -222,55 +210,68 @@ def _corollary_exponent(n: int, b: float, x: float) -> float:
     return 0.5 * x * x * float(n) ** (2.0 / b - 1.0)
 
 
-def bound_corollary(n: int, beta: float | BetaParam, x: float) -> float:
+def bound_corollary(n: int, beta: float, x: float) -> float:
     """Sub-Gaussian relaxation exp(-x^2 n^(2/beta - 1) / 2).
 
     Derived for beta in (1, 2]; larger beta still evaluates (see
     corollary_is_extrapolated) and still dominates bound_bn.
     """
     n = _check_n(n)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     x = _check_x(x)
     return min(1.0, math.exp(-_corollary_exponent(n, b, x)))
 
 
-def corollary_is_extrapolated(beta: float | BetaParam) -> bool:
+def corollary_is_extrapolated(beta: float) -> bool:
     """True when beta > 2, where bound_corollary leaves its derived range."""
-    return _beta_value(beta) > 2.0
+    return _check_beta(beta) > 2.0
 
 
-def mdp_alpha_window(beta: float | BetaParam) -> tuple[float, float]:
+def mdp_alpha_window(beta: float) -> tuple[float, float]:
     """Open interval of scaling exponents ((beta-2)/(2 beta), (beta-1)/beta).
 
     Inside this window the rescaled threshold x n^alpha sits in the
     moderate-deviation range; alpha = (beta-1)/beta is the large-deviation
     edge.
     """
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     return (b - 2.0) / (2.0 * b), (b - 1.0) / b
 
 
-def alpha_in_mdp_window(beta: float | BetaParam, alpha: float) -> bool:
+def alpha_in_mdp_window(beta: float, alpha: float) -> bool:
     lo, hi = mdp_alpha_window(beta)
     return lo < float(alpha) < hi
 
 
-def bound_rescaled(n: int, beta: float | BetaParam, x: float, alpha: float) -> float:
-    """bound_corollary at the rescaled threshold x * n^alpha."""
+def _rescaled_x(n: int, x: float, alpha: float) -> float:
+    """The rescaled threshold x * n^alpha; alpha must keep it finite and > 0."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be a finite real, got {alpha!r}")
-    return bound_corollary(n, beta, _check_x(x) * float(_check_n(n)) ** alpha)
+    x = _check_x(x)
+    n = _check_n(n)
+    try:
+        scaled = x * float(n) ** alpha
+    except OverflowError:
+        scaled = math.inf
+    if not 0.0 < scaled < math.inf:
+        raise ValueError(f"alpha={alpha!r} takes x * n^alpha out of (0, inf) at n={n}")
+    return scaled
 
 
-def lambda_star(n: int, beta: float | BetaParam, x: float) -> float:
+def bound_rescaled(n: int, beta: float, x: float, alpha: float) -> float:
+    """bound_corollary at the rescaled threshold x * n^alpha."""
+    return bound_corollary(n, beta, _rescaled_x(n, x, alpha))
+
+
+def lambda_star(n: int, beta: float, x: float) -> float:
     """Closed-form minimizer of the exponential-moment objective.
 
     lambda*(x) = (n^(1/beta) / 2) log((n^((beta-1)/beta) + x) /
     (n^((beta-1)/beta) - x)); +inf at and beyond the endpoint.
     """
     n = _check_n(n)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     x = _check_x(x)
     nb = endpoint_threshold(n, b)
     if x >= nb:
@@ -280,11 +281,10 @@ def lambda_star(n: int, beta: float | BetaParam, x: float) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITERATIONS = 200
+_TOL = 1e-10  # relative width at which the golden-section bracket stops
 
 
-def bernstein_numeric(
-    n: int, beta: float | BetaParam, x: float, tol: float = 1e-10
-) -> BernsteinResult:
+def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
     """Minimize exp(-lambda x) cosh(lambda / n^(1/beta))^n over lambda >= 0.
 
     Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
@@ -299,14 +299,10 @@ def bernstein_numeric(
         beta: variation exponent > 1.
         x: threshold with 0 < x < n^((beta-1)/beta); the endpoint and the
             impossible regime are rejected (the closed form covers those).
-        tol: relative width at which the golden-section bracket stops.
     """
     n = _check_n(n)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     x = _check_x(x)
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
     s = x / endpoint_threshold(n, b)
     if s >= 1.0:
         raise ValueError(
@@ -331,7 +327,7 @@ def bernstein_numeric(
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     iterations = 0
-    while hi - lo > tol * max(1.0, 0.5 * (lo + hi)):
+    while hi - lo > _TOL * max(1.0, 0.5 * (lo + hi)):
         if iterations >= _MAX_ITERATIONS:
             raise RuntimeError(
                 f"golden-section search did not converge in {_MAX_ITERATIONS} iterations"
@@ -355,12 +351,15 @@ def tstat_threshold(n: int, x: float) -> float:
 
     The t-statistic event {T_n >= x} coincides with the self-normalized sum
     exceeding this level, which always lies in (0, sqrt(n)]; the value is
-    clamped at sqrt(n) so rounding cannot push it past the endpoint.
+    clamped at sqrt(n) so rounding cannot push it past the endpoint, and
+    it is sqrt(n), its limit, where x^2 overflows.
     """
     n = _check_n(n, minimum=2)
     x = _check_x(x)
-    raw = x * math.sqrt(n / (n + x * x - 1.0))
-    return min(raw, endpoint_threshold(n, 2.0))
+    root_n = endpoint_threshold(n, 2.0)
+    if math.isinf(x * x):
+        return root_n
+    return min(x * math.sqrt(n / (n + x * x - 1.0)), root_n)
 
 
 def _t_value(n: int, mean, ss):
@@ -375,6 +374,11 @@ def bound_tstat(n: int, x: float) -> BoundEvaluation:
     return bound_bn(n, 2.0, tstat_threshold(n, x))
 
 
-def two_sided_bound(n: int, beta: float | BetaParam, x: float) -> float:
+def _two_sided(evaluation: BoundEvaluation) -> tuple[float, float]:
+    """(log value, value) of the two-sided bound min(1, 2 B_n) from one B_n."""
+    return min(0.0, _LN2 + evaluation.log_value), min(1.0, 2.0 * evaluation.value)
+
+
+def two_sided_bound(n: int, beta: float, x: float) -> float:
     """Two-sided version min(1, 2 B_n(beta, x)) from the sign symmetry."""
-    return min(1.0, 2.0 * bound_bn(n, beta, x).value)
+    return _two_sided(bound_bn(n, beta, x))[1]

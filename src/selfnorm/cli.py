@@ -10,7 +10,6 @@ x = s * n^((beta-1)/beta)); exactly one of the two must be present.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -19,6 +18,8 @@ from . import report
 from . import verify as verify_mod
 from .bounds import (
     _corollary_exponent,
+    _rescaled_x,
+    _two_sided,
     alpha_in_mdp_window,
     bernstein_numeric,
     bound_bn,
@@ -29,7 +30,6 @@ from .bounds import (
     corollary_is_extrapolated,
     mdp_alpha_window,
     threshold_from_s,
-    two_sided_bound,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tstat_tail
 from .simulate import TSTAT, DistributionSpec, estimate_tail, respects
@@ -151,17 +151,18 @@ def cmd_bound(args) -> int:
         ]
     elif args.kind == "two-sided":
         evaluation = bound_bn(n, beta, x)
+        log_value, value = _two_sided(evaluation)
         pairs += [
             ("s", evaluation.s),
             ("regime", evaluation.regime),
-            ("log_value", min(0.0, math.log(2.0) + evaluation.log_value)),
-            ("value", two_sided_bound(n, beta, x)),
+            ("log_value", log_value),
+            ("value", value),
         ]
     else:  # rescaled
         if args.alpha is None:
             raise ValueError("kind rescaled needs --alpha")
         low, high = mdp_alpha_window(beta)
-        scaled = x * float(n) ** args.alpha
+        scaled = _rescaled_x(n, x, args.alpha)
         pairs += [
             ("alpha", args.alpha),
             ("alpha_low", low),
@@ -272,7 +273,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return verify_mod.run_suites(fast=args.fast)
+    return verify_mod.run_suites()
 
 
 def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify_cmd = commands.add_parser("verify", help="run every built-in invariant suite")
-    verify_cmd.add_argument("--fast", action="store_true", help="about 10x smaller grids")
     verify_cmd.set_defaults(func=cmd_verify)
     return parser
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _beta_value, _check_n, _check_x, _t_value, tstat_threshold, v_norm
+from .bounds import _check_beta, _check_n, _check_x, _t_value, tstat_threshold, v_norm
 
 __all__ = [
     "MAX_ENUM_N",
@@ -176,7 +176,7 @@ def exact_tail_multi(
 ) -> list[ExactTail]:
     """exact_tail at several thresholds sharing one enumeration pass."""
     arr = _check_magnitudes(mags)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     if stat not in (RUNNING_MAX, FINAL_SUM):
         raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
     _resolve_workers(workers)

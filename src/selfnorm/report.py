@@ -51,15 +51,15 @@ COLUMNS = (
 class SweepGrid:
     """Grid of sweep cells plus the estimation settings shared by all cells.
 
-    stat must be a sum statistic ("running_max" or "final_sum"); dist = None
-    or trials = 0 turns the Monte Carlo columns off.
+    stat must be a sum statistic ("running_max" or "final_sum"); trials = 0
+    turns the Monte Carlo columns off.
     """
 
     n_values: tuple[int, ...]
     beta_values: tuple[float, ...]
     s_values: tuple[float, ...]
     stat: str = RUNNING_MAX
-    dist: DistributionSpec | None = DistributionSpec.rademacher()
+    dist: DistributionSpec = DistributionSpec.rademacher()
     trials: int = 10**6
     seed: int = 0
 
@@ -93,7 +93,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     rows = []
     for n in grid.n_values:
         mags = None
-        if dist is not None and dist.supports_exact() and n <= MAX_ENUM_N:
+        if dist.supports_exact() and n <= MAX_ENUM_N:
             # A fixed magnitude vector of another length leaves the column blank.
             with contextlib.suppress(ValueError):
                 mags = dist.exact_magnitudes(n)
@@ -104,7 +104,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
                 tails = exact_tail_multi(mags, beta, xs, grid.stat, workers)
                 exact = [tail.probability for tail in tails]
             estimates = blank
-            if dist is not None and grid.trials > 0:
+            if grid.trials > 0:
                 estimates = estimate_tail_multi(
                     dist, n, beta, xs, grid.stat, grid.trials, grid.seed, workers
                 )

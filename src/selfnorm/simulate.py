@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .bounds import _beta_value, _check_n, _check_x, _t_value, tstat_threshold
+from .bounds import _check_beta, _check_n, _check_x, _t_value, tstat_threshold
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
 from .oracle import _map_blocks, _resolve_workers
 
@@ -120,7 +120,7 @@ class DistributionSpec:
 
     def infinite_moment(self, beta: float) -> bool:
         """True when E|xi|^beta diverges (Pareto with tail_index <= beta)."""
-        b = _beta_value(beta)
+        b = _check_beta(beta)
         return self.kind == "symmetric_pareto" and self.tail_index <= b
 
     def supports_exact(self) -> bool:
@@ -174,17 +174,17 @@ class LogRatePoint:
     estimate: TailEstimate
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion, clamped to [0, 1]."""
     if trials <= 0:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, {trials}], got {hits}")
     p = hits / trials
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    margin = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2))
+    margin = (Z99 / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2))
     # At the boundaries the score equation's outer root is exactly 0 or 1;
     # evaluating the quotient would land a few ulps inside and break
     # ci_low <= p_hat <= ci_high.
@@ -291,7 +291,7 @@ def estimate_tail_multi(
     if stat not in STATS:
         raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
     n = _check_n(n, minimum=2 if stat == TSTAT else 1)
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
     trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
@@ -417,7 +417,7 @@ def empirical_log_rate(
     -inf; log_rate_upper, from the Wilson upper limit, stays usable either
     way.
     """
-    b = _beta_value(beta)
+    b = _check_beta(beta)
     alpha = float(alpha)
     c = float(c)
     if not math.isfinite(alpha):

@@ -1,8 +1,8 @@
 """Invariant suites behind the `verify` command.
 
 Each suite checks one invariant of the bound evaluator, the exact
-enumeration oracle, the Monte Carlo estimator or the sweep renderer, at a
-full grid or (fast mode) a grid and trial budget shrunk about tenfold.
+enumeration oracle, the Monte Carlo estimator or the sweep renderer over
+a fixed grid and trial budget.
 Suites raise SuiteFailure with a specific message; anything else that
 escapes is an internal error and exits differently.
 """
@@ -47,17 +47,14 @@ def _require(condition: bool, message: str) -> None:
 
 _BETAS = (1.1, 1.5, 2.0, 3.0, 10.0)
 _S_GRID = (0.01, 0.1, 0.5, 0.9, 0.999)
+_N_GRID = range(1, 65)
 
 
-def _n_grid(fast: bool) -> range | tuple[int, ...]:
-    return (1, 2, 4, 8, 16, 32, 64) if fast else range(1, 65)
-
-
-def form_equivalence(fast: bool) -> str:
+def form_equivalence() -> str:
     """Product form and entropy form agree to 1e-12 relative in log space."""
     worst = 0.0
     cells = 0
-    for n in _n_grid(fast):
+    for n in _N_GRID:
         for beta in _BETAS:
             for s in _S_GRID:
                 x = threshold_from_s(n, beta, s)
@@ -74,10 +71,10 @@ def form_equivalence(fast: bool) -> str:
     return f"max log deviation {worst:.2e} over {cells} cells"
 
 
-def endpoint_convention(fast: bool) -> str:
+def endpoint_convention() -> str:
     """At s = 1 both forms give exactly 2^-n with log value -n log 2."""
     cells = 0
-    for n in _n_grid(fast):
+    for n in _N_GRID:
         for beta in _BETAS:
             x = threshold_from_s(n, beta, 1.0)
             for evaluation in (bound_bn(n, beta, x), bound_bn_entropy_form(n, beta, x)):
@@ -98,9 +95,9 @@ def endpoint_convention(fast: bool) -> str:
     return f"{cells} endpoint cells exact"
 
 
-def monotone_in_x(fast: bool) -> str:
+def monotone_in_x() -> str:
     """B_n strictly decreases in x up to and including the endpoint."""
-    ns = (4, 64) if fast else (1, 4, 16, 64)
+    ns = (1, 4, 16, 64)
     s_grid = list(np.linspace(0.005, 0.995, 100)) + [1.0]
     for n in ns:
         for beta in _BETAS:
@@ -114,7 +111,7 @@ def monotone_in_x(fast: bool) -> str:
     return f"{len(ns) * len(_BETAS)} (n, beta) profiles strictly decreasing"
 
 
-def monotone_in_n_and_limit(fast: bool) -> str:
+def monotone_in_n_and_limit() -> str:
     """For beta = 2, B_n(2, x) increases in n toward exp(-x^2/2)."""
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
@@ -135,7 +132,7 @@ def monotone_in_n_and_limit(fast: bool) -> str:
     return f"increasing toward the limit; final gap at most {worst:.2e}"
 
 
-def dominance(fast: bool) -> str:
+def dominance() -> str:
     """bound_bn never exceeds bound_corollary (any beta > 1)."""
     cells = 0
     for beta in _BETAS:
@@ -152,11 +149,11 @@ def dominance(fast: bool) -> str:
     return f"{cells} cells dominated"
 
 
-def bernstein_consistency(fast: bool) -> str:
+def bernstein_consistency() -> str:
     """Numeric minimization reproduces the closed form and its minimizer."""
     worst_obj = worst_lam = 0.0
     cells = 0
-    for n in _n_grid(fast):
+    for n in _N_GRID:
         for beta in _BETAS:
             for s in (0.01, 0.1, 0.5, 0.9, 0.99):
                 x = threshold_from_s(n, beta, s)
@@ -179,7 +176,7 @@ def bernstein_consistency(fast: bool) -> str:
     return f"{cells} cells: objective within {worst_obj:.2e}, minimizer within {worst_lam:.2e}"
 
 
-def majorization(fast: bool) -> str:
+def majorization() -> str:
     """log_cosh(u) <= u^2/2 and log_cosh is even on [-50, 50]."""
     for u in np.linspace(-50.0, 50.0, 2001):
         value = log_cosh(u)
@@ -188,7 +185,7 @@ def majorization(fast: bool) -> str:
     return "2001 grid points majorized"
 
 
-def tstat_range(fast: bool) -> str:
+def tstat_range() -> str:
     """tstat_threshold lands in (0, sqrt n]; its bound is a real probability."""
     cells = 0
     for n in (2, 3, 4, 8, 16, 64):
@@ -225,12 +222,11 @@ def _oracle_cells(vectors):
                 yield n, beta, s, tail.probability, bound_bn(n, beta, x).value
 
 
-def oracle_below_bound(fast: bool) -> str:
+def oracle_below_bound() -> str:
     """Exact running-maximum tails never exceed bound_bn (unit magnitudes)."""
-    top_n = 10 if fast else 16
     worst = math.inf
     cells = 0
-    for n, beta, s, p, b in _oracle_cells([1.0] * n for n in range(1, top_n + 1)):
+    for n, beta, s, p, b in _oracle_cells([1.0] * n for n in range(1, 17)):
         _require(
             p <= b,
             f"exact tail {p!r} exceeds bound {b!r} at n={n} beta={beta} s={s}",
@@ -240,10 +236,10 @@ def oracle_below_bound(fast: bool) -> str:
     return f"{cells} cells; smallest slack {worst:.2e}"
 
 
-def _weighted_vectors(fast: bool) -> list[np.ndarray]:
+def _weighted_vectors() -> list[np.ndarray]:
     rng = np.random.default_rng(20260814)
     vectors = []
-    for i in range(10 if fast else 50):
+    for i in range(50):
         n = int(rng.integers(2, 15))
         mags = rng.uniform(0.1, 3.0, n)
         if i % 7 == 3:
@@ -252,29 +248,28 @@ def _weighted_vectors(fast: bool) -> list[np.ndarray]:
     return vectors
 
 
-def weighted_oracle_below_bound(fast: bool) -> str:
+def weighted_oracle_below_bound() -> str:
     """The same domination for drawn nonuniform magnitude vectors."""
     cells = 0
-    for n, beta, s, p, b in _oracle_cells(_weighted_vectors(fast)):
+    for n, beta, s, p, b in _oracle_cells(_weighted_vectors()):
         _require(p <= b, f"weighted exact tail exceeds bound at n={n} beta={beta} s={s}")
         cells += 1
     return f"{cells} weighted cells dominated"
 
 
-def endpoint_exactness(fast: bool) -> str:
+def endpoint_exactness() -> str:
     """Exactly one sign vector (all plus) reaches the endpoint threshold."""
-    top_n = 10 if fast else 16
-    for n in range(1, top_n + 1):
+    for n in range(1, 17):
         for beta in (1.1, 1.5, 2.0, 3.0):
             tail = exact_tail([1.0] * n, beta, endpoint_threshold(n, beta), RUNNING_MAX)
             _require(
                 tail.hits == 1,
                 f"endpoint hits {tail.hits} != 1 at n={n} beta={beta}",
             )
-    return f"hits == 1 for n <= {top_n}, four betas"
+    return "hits == 1 for n <= 16, four betas"
 
 
-def two_point_tightness(fast: bool) -> str:
+def two_point_tightness() -> str:
     """Final-sum tails respect the numeric two-point bound; scale drops out."""
     cells = 0
     for n in (2, 4, 8, 12):
@@ -300,7 +295,7 @@ def two_point_tightness(fast: bool) -> str:
     return f"{cells} cells tight and scale-invariant"
 
 
-def mirror_symmetry(fast: bool) -> str:
+def mirror_symmetry() -> str:
     """Counting final sums <= -x V by direct enumeration matches exact_tail."""
     cells = 0
     for n in (2, 5, 8, 11):
@@ -323,7 +318,7 @@ def mirror_symmetry(fast: bool) -> str:
     return f"{cells} mirrored counts equal"
 
 
-def oracle_monotone_in_x(fast: bool) -> str:
+def oracle_monotone_in_x() -> str:
     """Hit counts never increase as the threshold rises."""
     for n in (6, 12):
         for stat in (RUNNING_MAX, FINAL_SUM):
@@ -337,13 +332,9 @@ def oracle_monotone_in_x(fast: bool) -> str:
     return "hit counts nonincreasing on 4 profiles"
 
 
-def _mc_trials(fast: bool, full: int) -> int:
-    return max(full // 10, 200) if fast else full
-
-
-def bound_respect(fast: bool) -> str:
+def bound_respect() -> str:
     """Estimates stay within bound + 3 half-widths of the matching bound."""
-    trials = _mc_trials(fast, 20000)
+    trials = 20000
     specs = (
         DistributionSpec.rademacher(),
         DistributionSpec.uniform(),
@@ -371,9 +362,9 @@ def bound_respect(fast: bool) -> str:
     return f"{len(cells)} cells respected their bound"
 
 
-def oracle_agreement(fast: bool) -> str:
+def oracle_agreement() -> str:
     """Exact probabilities sit inside the 99% interval in >= 95% of cells."""
-    trials = _mc_trials(fast, 20000)
+    trials = 20000
     rng = np.random.default_rng(7)
     fixed = [rng.uniform(0.2, 2.0, 8), rng.uniform(0.2, 2.0, 12)]
     specs = [(DistributionSpec.rademacher(), [1.0] * n, n) for n in (6, 10, 14)]
@@ -396,9 +387,9 @@ def oracle_agreement(fast: bool) -> str:
     return f"{inside}/{total} cells covered"
 
 
-def determinism(fast: bool) -> str:
+def determinism() -> str:
     """Worker count never changes a hit count; repeat calls are identical."""
-    trials = _mc_trials(fast, 30000)
+    trials = 30000
     outcomes = []
     for spec, stat, n, x in (
         (DistributionSpec.gaussian(), RUNNING_MAX, 12, 1.2),
@@ -421,15 +412,13 @@ def determinism(fast: bool) -> str:
     return f"hit counts {outcomes} stable across workers 1/2/8"
 
 
-def heavy_tail_decay(fast: bool) -> str:
+def heavy_tail_decay() -> str:
     """Infinite-variance sampling still shows a nonincreasing tail over n."""
     spec = DistributionSpec.pareto(1.2)
     _require(spec.infinite_moment(1.5), "tail index 1.2 should flag E|xi|^1.5 infinite")
     estimates = []
-    for n, full in ((10, 40000), (100, 40000), (1000, 20000)):
-        estimates.append(
-            estimate_tail(spec, n, 1.5, 0.5, FINAL_SUM, _mc_trials(fast, full), seed=5)
-        )
+    for n, trials in ((10, 40000), (100, 40000), (1000, 20000)):
+        estimates.append(estimate_tail(spec, n, 1.5, 0.5, FINAL_SUM, trials, seed=5))
     for first, second in zip(estimates, estimates[1:]):
         slack = (first.ci_high - first.p_hat) + (second.ci_high - second.p_hat)
         _require(
@@ -439,9 +428,9 @@ def heavy_tail_decay(fast: bool) -> str:
     return "p_hat " + " -> ".join(f"{e.p_hat:.4f}" for e in estimates)
 
 
-def efron_reduction(fast: bool) -> str:
+def efron_reduction() -> str:
     """The t-statistic event and its self-normalized form never disagree."""
-    trials = _mc_trials(fast, 20000)
+    trials = 20000
     cells = [(DistributionSpec.gaussian(), 10, 1.5), (DistributionSpec.pareto(1.2), 5, 0.7)]
     cells += [(DistributionSpec.rademacher(), n, 1.0) for n in range(2, 11)]
     for spec, n, x in cells:
@@ -464,7 +453,7 @@ _SWEEP_GRID = report.SweepGrid(
 )
 
 
-def sweep_round_trip(fast: bool) -> str:
+def sweep_round_trip() -> str:
     """CSV/JSON rendering re-parses to the same values at 12 digits."""
     rows = report.run_sweep(_SWEEP_GRID, workers=1)
     for fmt, render, parse in (
@@ -484,7 +473,7 @@ def sweep_round_trip(fast: bool) -> str:
     return f"{len(rows)} rows round-tripped in CSV and JSON"
 
 
-def sweep_thread_invariance(fast: bool) -> str:
+def sweep_thread_invariance() -> str:
     """Rendered sweep bytes are identical for 1, 2 and 8 workers."""
     texts = {
         report.render_csv(report.run_sweep(_SWEEP_GRID, workers=w)) for w in (1, 2, 8)
@@ -518,22 +507,22 @@ SUITES: tuple[tuple[str, object], ...] = (
 )
 
 
-def run_suites(fast: bool = False, echo=print) -> int:
+def run_suites() -> int:
     """Run every suite; exit code 0 (all pass), 1 (failure), 2 (internal error)."""
     width = max(len(name) for name, _ in SUITES)
     failures = errors = 0
     for name, suite in SUITES:
         try:
-            detail = suite(fast)
-            echo(f"PASS  {name:<{width}}  {detail}")
+            detail = suite()
+            print(f"PASS  {name:<{width}}  {detail}")
         except SuiteFailure as exc:
             failures += 1
-            echo(f"FAIL  {name:<{width}}  {exc}")
+            print(f"FAIL  {name:<{width}}  {exc}")
         except Exception as exc:  # noqa: BLE001 - reported as an internal error
             errors += 1
-            echo(f"ERROR {name:<{width}}  {type(exc).__name__}: {exc}")
+            print(f"ERROR {name:<{width}}  {type(exc).__name__}: {exc}")
     total = len(SUITES)
-    echo(f"{total - failures - errors}/{total} suites passed" + (" (fast)" if fast else ""))
+    print(f"{total - failures - errors}/{total} suites passed")
     if errors:
         return 2
     return 1 if failures else 0

@@ -13,7 +13,6 @@ from selfnorm import (
     ENDPOINT,
     IMPOSSIBLE,
     INTERIOR,
-    BetaParam,
     alpha_in_mdp_window,
     bernstein_numeric,
     bound_bn,
@@ -24,6 +23,7 @@ from selfnorm import (
     corollary_is_extrapolated,
     endpoint_threshold,
     exact_tail,
+    exact_tstat_tail,
     lambda_star,
     log_cosh,
     mdp_alpha_window,
@@ -94,9 +94,6 @@ class TestBoundBn:
         assert values[1] == pytest.approx(16.0 / 27.0, rel=1e-12)
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_accepts_beta_param_wrapper(self):
-        assert bound_bn(4, BetaParam(2.0), 1.0).value == bound_bn(4, 2.0, 1.0).value
-
 
 class TestThresholds:
     def test_endpoint_threshold_values(self):
@@ -164,6 +161,12 @@ class TestRescaled:
     def test_rejects_non_finite_alpha(self):
         with pytest.raises(ValueError):
             bound_rescaled(10, 2.0, 0.5, math.inf)
+
+    @pytest.mark.parametrize("alpha", [400.0, -400.0])
+    def test_rejects_alpha_that_leaves_the_finite_reals(self, alpha):
+        # 10^400 overflows and 10^-400 underflows to 0.
+        with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
+            bound_rescaled(10, 2.0, 1.0, alpha)
 
 
 class TestBernstein:
@@ -236,6 +239,11 @@ class TestTstat:
         assert tstat_threshold(2, 1e8) <= math.sqrt(2.0)
         assert tstat_threshold(2, 1e8) == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
+    def test_threshold_is_the_endpoint_where_x_squared_overflows(self):
+        assert tstat_threshold(5, 1e200) == math.sqrt(5)
+        tail = exact_tstat_tail([1.0] * 5, 1e200)
+        assert (tail.hits, tail.degenerate) == (0, 2)
+
     def test_threshold_monotone_in_x(self):
         taus = [tstat_threshold(6, x) for x in (0.1, 0.5, 1.0, 2.0, 5.0, 50.0)]
         assert all(a < b for a, b in zip(taus, taus[1:]))
@@ -272,10 +280,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad_beta", [1.0, 0.5, -2.0, math.nan, math.inf])
     def test_rejects_bad_beta(self, bad_beta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beta must be a finite real > 1"):
             bound_bn(4, bad_beta, 1.0)
-        with pytest.raises(ValueError):
-            BetaParam(bad_beta)
 
     @pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_x(self, bad_x):

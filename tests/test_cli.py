@@ -108,6 +108,21 @@ class TestBoundCommand:
                 "kind=corollary n=100000 beta=1.5 x=45.9517294528 s=0.99 regime=interior "
                 "log_value=-49005 value=0 extrapolated=false",
             ),
+            (
+                "--n 100000 --beta 1.5 --s 0.99 --kind two-sided",
+                "kind=two-sided n=100000 beta=1.5 x=45.9517294528 s=0.99 regime=interior "
+                "log_value=-66166.1183141 value=0",
+            ),
+            (
+                "--n 4 --x 0.1 --kind two-sided",
+                "kind=two-sided n=4 beta=2 x=0.1 s=0.05 regime=interior log_value=0 value=1",
+            ),
+            (
+                "--n 10 --beta 3 --x 0.5 --kind rescaled --alpha 0.4",
+                "kind=rescaled n=10 beta=3 x=0.5 alpha=0.4 alpha_low=0.166666666667 "
+                "alpha_high=0.666666666667 in_window=true value=0.693446927539 "
+                "scaled_x=1.25594321575",
+            ),
         ],
     )
     def test_log_value_records(self, capsys, argv, expected):
@@ -138,6 +153,16 @@ class TestBoundCommand:
         rec = record(out)
         assert rec["in_window"] == "true"
         assert float(rec["alpha_low"]) == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", ["400", "-400"])
+    def test_rescaled_rejects_alpha_that_leaves_the_finite_reals(self, capsys, alpha):
+        # 10^400 overflows and 10^-400 underflows to 0.
+        code, out, err = run_cli(
+            capsys, *"bound --n 10 --x 1 --kind rescaled --alpha".split(), alpha
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: alpha={float(alpha)!r} takes x * n^alpha out of (0, inf) at n=10\n"
 
     def test_rescaled_requires_alpha(self, capsys):
         code, _, err = run_cli(
@@ -307,11 +332,18 @@ class TestSweepCommand:
 
 class TestVerifyCommand:
     def test_fast_run_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--fast")
+        # Kept test id: verify now has a single scale, the full one.
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) == 21
-        assert all("FAIL" not in line for line in lines)
+        assert out.endswith("21/21 suites passed\n")
+
+    def test_fast_flag_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--fast")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --fast" in err
 
 
 class TestProcessLevel:
@@ -323,6 +355,19 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert "value=0.0625" in proc.stdout
+
+    def test_tstat_oracle_at_a_threshold_whose_square_overflows(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfnorm", "oracle", "--stat", "tstat", "--n", "5",
+             "--x", "1e200"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "n=5 x=1e+200 stat=tstat hits=0 total=32 degenerate=2 probability=0 "
+            "bound=0.03125\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

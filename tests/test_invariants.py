@@ -1,7 +1,7 @@
-"""Every built-in verification suite, run at the fast scale under pytest.
+"""Every built-in verification suite, run under pytest.
 
-The full-scale versions back `selfnorm verify`; here each suite is a test
-case so a property violation is reported individually.
+These are the suites behind `selfnorm verify`, at the same scale; here each
+suite is a test case so a property violation is reported individually.
 """
 
 import pytest
@@ -11,5 +11,6 @@ from selfnorm.verify import SUITES
 
 @pytest.mark.parametrize("suite", [fn for _, fn in SUITES], ids=[name for name, _ in SUITES])
 def test_suite_passes_at_fast_scale(suite):
-    detail = suite(True)
+    # Kept test id: verify now has a single scale, the full one.
+    detail = suite()
     assert isinstance(detail, str) and detail

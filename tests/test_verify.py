@@ -27,7 +27,7 @@ class TestSweepRoundTrip:
         render = getattr(report, name)
         monkeypatch.setattr(report, name, lambda rows: drop(render(rows)))
         with pytest.raises(SuiteFailure, match=f"^row count changed through {fmt}$"):
-            verify.sweep_round_trip(True)
+            verify.sweep_round_trip()
 
 
 class TestBoundRespect:
@@ -40,24 +40,24 @@ class TestBoundRespect:
             return estimate(*args, **kwargs)
 
         monkeypatch.setattr(verify, "estimate_tail", recording)
-        assert verify.bound_respect(True) == "24 cells respected their bound"
+        assert verify.bound_respect() == "24 cells respected their bound"
         assert seeds == list(range(1000, 1020)) + list(range(2020, 2024))
 
     def test_sum_statistic_failure_message(self, monkeypatch):
         monkeypatch.setattr(verify, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
-            verify.bound_respect(True)
+            verify.bound_respect()
         assert str(failure.value) == (
-            "rademacher running_max n=8 s=0.4: p_hat 0.1935 exceeds bound 1e-300 "
-            "+ 0.07125510697682141"
+            "rademacher running_max n=8 s=0.4: p_hat 0.18 exceeds bound 1e-300 "
+            "+ 0.021309916366662296"
         )
 
     def test_tstat_failure_message(self, monkeypatch):
         monkeypatch.setattr(verify, "bound_tstat", _tiny(bounds.bound_tstat))
         with pytest.raises(SuiteFailure) as failure:
-            verify.bound_respect(True)
+            verify.bound_respect()
         assert str(failure.value) == (
-            "gaussian tstat x=1.5: p_hat 0.0845 exceeds bound 1e-300 + 0.05227838086981364"
+            "gaussian tstat x=1.5: p_hat 0.0836 exceeds bound 1e-300 + 0.015541525709587889"
         )
 
 
@@ -75,5 +75,5 @@ class TestOracleBelowBound:
     def test_failure_message(self, monkeypatch, suite, message):
         monkeypatch.setattr(verify, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
-            suite(True)
+            suite()
         assert str(failure.value) == message
