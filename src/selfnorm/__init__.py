@@ -4,104 +4,18 @@ sign-vector enumeration oracle, a deterministic Monte Carlo estimator,
 and sweep/verification tooling.
 """
 
-from .bounds import (
-    ENDPOINT,
-    IMPOSSIBLE,
-    INTERIOR,
-    BernsteinResult,
-    BoundEvaluation,
-    alpha_in_mdp_window,
-    bernstein_numeric,
-    bound_bn,
-    bound_bn_entropy_form,
-    bound_corollary,
-    bound_rescaled,
-    bound_tstat,
-    corollary_is_extrapolated,
-    endpoint_threshold,
-    lambda_star,
-    log_cosh,
-    mdp_alpha_window,
-    threshold_from_s,
-    tstat_threshold,
-    two_sided_bound,
-    v_norm,
-)
-from .oracle import (
-    FINAL_SUM,
-    MAX_ENUM_N,
-    RUNNING_MAX,
-    ExactTail,
-    exact_tail,
-    exact_tail_multi,
-    exact_tstat_tail,
-    tie_guarded,
-)
-from .report import COLUMNS, SweepGrid, parse_csv, render_csv, render_json, run_sweep
-from .simulate import (
-    TSTAT,
-    DistributionSpec,
-    LogRatePoint,
-    TailEstimate,
-    efron_check,
-    empirical_log_rate,
-    estimate_tail,
-    estimate_tail_multi,
-    sample_vector,
-    trial_stream,
-    wilson_interval,
-)
-from .verify import SUITES, run_suites
+from . import bounds, oracle, report, simulate, verify
+from .bounds import *
+from .oracle import *
+from .report import *
+from .simulate import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BernsteinResult",
-    "BoundEvaluation",
-    "COLUMNS",
-    "DistributionSpec",
-    "ENDPOINT",
-    "ExactTail",
-    "FINAL_SUM",
-    "IMPOSSIBLE",
-    "INTERIOR",
-    "LogRatePoint",
-    "MAX_ENUM_N",
-    "RUNNING_MAX",
-    "SUITES",
-    "SweepGrid",
-    "TSTAT",
-    "TailEstimate",
-    "alpha_in_mdp_window",
-    "bernstein_numeric",
-    "bound_bn",
-    "bound_bn_entropy_form",
-    "bound_corollary",
-    "bound_rescaled",
-    "bound_tstat",
-    "corollary_is_extrapolated",
-    "efron_check",
-    "empirical_log_rate",
-    "endpoint_threshold",
-    "estimate_tail",
-    "estimate_tail_multi",
-    "exact_tail",
-    "exact_tail_multi",
-    "exact_tstat_tail",
-    "lambda_star",
-    "log_cosh",
-    "mdp_alpha_window",
-    "parse_csv",
-    "render_csv",
-    "render_json",
-    "run_suites",
-    "run_sweep",
-    "sample_vector",
-    "threshold_from_s",
-    "tie_guarded",
-    "trial_stream",
-    "tstat_threshold",
-    "two_sided_bound",
-    "v_norm",
-    "wilson_interval",
-]
+__all__ = []
+__all__ += bounds.__all__
+__all__ += oracle.__all__
+__all__ += report.__all__
+__all__ += simulate.__all__
+__all__ += verify.__all__

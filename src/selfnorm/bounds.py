@@ -124,7 +124,13 @@ def v_norm(xs, beta: float) -> float:
         raise ValueError("sample vector must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample vector entries must all be finite")
-    return float(np.sum(np.abs(arr) ** b) ** (1.0 / b))
+    return float(_beta_norm(arr, b))
+
+
+def _beta_norm(values: np.ndarray, b: float):
+    """Unchecked V_n(b) over the last axis, of a vector or of each row of a block;
+    the root runs on an array, as numpy scalar ** uses libm pow (last bit differs)."""
+    return np.asarray((np.abs(values) ** b).sum(axis=-1)) ** (1.0 / b)
 
 
 def log_cosh(u: float) -> float:

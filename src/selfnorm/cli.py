@@ -1,8 +1,8 @@
 """Command-line interface: bound | oracle | simulate | sweep | verify.
 
 Records are printed as one line of key=value pairs with floats at 12
-significant digits.  Exit codes: 0 success, 1 verification failure,
-2 invalid flags or input (including the n <= 30 enumeration budget).
+significant digits.  Exit codes: 0 success, 1 verification failure or
+aborted cross-check, 2 invalid flags or input (the n <= 30 budget too).
 Thresholds are given either absolute (--x) or normalized (--s, with
 x = s * n^((beta-1)/beta)); exactly one of the two must be present.
 """
@@ -32,7 +32,7 @@ from .bounds import (
     threshold_from_s,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tstat_tail
-from .simulate import TSTAT, DistributionSpec, estimate_tail, respects
+from .simulate import TSTAT, DistributionSpec, _bound_for, estimate_tail, respects
 
 __all__ = ["main", "build_parser"]
 
@@ -186,21 +186,24 @@ def _oracle_magnitudes(args, dist: DistributionSpec) -> tuple[int, np.ndarray]:
     return n, dist.exact_magnitudes(n)
 
 
+def _cell(args, stat: str, n: int):
+    """(x, beta, bound evaluation, record fields) of an oracle or simulate
+    cell; the t-statistic takes --x only, and its bound is B_n at beta 2."""
+    if stat == TSTAT:
+        x = _require_x(args, "stat tstat")
+        return x, 2.0, _bound_for(stat, n, 2.0, x), [("x", x)]
+    x = _resolve_x(args, n, args.beta)
+    evaluation = _bound_for(stat, n, args.beta, x)
+    return x, args.beta, evaluation, [("beta", args.beta), ("x", x), ("s", evaluation.s)]
+
+
 def cmd_oracle(args) -> int:
     stat = _STATS[args.stat]
     dist = _parse_dist(args.dist)
     n, mags = _oracle_magnitudes(args, dist)
-    if stat == TSTAT:
-        x = _require_x(args, "stat tstat")
-        tail = exact_tstat_tail(mags, x)
-        evaluation = bound_tstat(n, x)
-        pairs: list[tuple[str, object]] = [("n", n), ("x", x)]
-    else:
-        x = _resolve_x(args, n, args.beta)
-        tail = exact_tail(mags, args.beta, x, stat)
-        evaluation = bound_bn(n, args.beta, x)
-        pairs = [("n", n), ("beta", args.beta), ("x", x), ("s", evaluation.s)]
-    pairs += [("stat", args.stat), ("hits", tail.hits), ("total", tail.total)]
+    x, beta, evaluation, fields = _cell(args, stat, n)
+    tail = exact_tstat_tail(mags, x) if stat == TSTAT else exact_tail(mags, beta, x, stat)
+    pairs = [("n", n), *fields, ("stat", args.stat), ("hits", tail.hits), ("total", tail.total)]
     if stat == TSTAT:
         pairs.append(("degenerate", tail.degenerate))
     pairs += [("probability", tail.probability), ("bound", evaluation.value)]
@@ -214,19 +217,13 @@ def cmd_simulate(args) -> int:
     n = args.n
     if n is None:
         raise ValueError("--n is required")
-    pairs: list[tuple[str, object]] = [("dist", args.dist), ("n", n)]
-    if stat == TSTAT:
-        x = _require_x(args, "stat tstat")
-        estimate = estimate_tail(dist, n, 2.0, x, stat, args.trials, args.seed)
-        evaluation = bound_tstat(n, x)
-        pairs.append(("x", x))
-    else:
-        x = _resolve_x(args, n, args.beta)
-        estimate = estimate_tail(dist, n, args.beta, x, stat, args.trials, args.seed)
-        evaluation = bound_bn(n, args.beta, x)
-        pairs += [("beta", args.beta), ("x", x), ("s", evaluation.s)]
+    x, beta, evaluation, fields = _cell(args, stat, n)
+    estimate = estimate_tail(dist, n, beta, x, stat, args.trials, args.seed)
     bound = evaluation.value
-    pairs += [
+    pairs = [
+        ("dist", args.dist),
+        ("n", n),
+        *fields,
         ("stat", args.stat),
         ("trials", estimate.trials),
         ("seed", estimate.seed),
@@ -238,7 +235,7 @@ def cmd_simulate(args) -> int:
         ("bound", bound),
     ]
     if stat != TSTAT:
-        pairs.append(("corollary", bound_corollary(n, args.beta, x)))
+        pairs.append(("corollary", bound_corollary(n, beta, x)))
     pairs.append(("respect", "PASS" if respects(estimate, bound) else "FAIL"))
     _emit(pairs)
     return 0
@@ -343,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # A cross-check that aborted (oracle routes, numeric minimizer).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -102,7 +102,16 @@ def _check_magnitudes(mags) -> np.ndarray:
         raise ValueError("magnitudes must be finite and nonnegative")
     if not np.any(arr > 0.0):
         raise ValueError("at least one magnitude must be positive")
-    return arr
+    # Every statistic here is scale-free; with the largest magnitude at 1,
+    # V_n stays finite and >= 1 and S_n^2 finite whatever the scale.
+    return arr / arr.max()
+
+
+def _count_at(stats: np.ndarray, cuts) -> np.ndarray:
+    """Hits of stats >= c for each cut c."""
+    # Elementwise >=, not a search over sorted values: a NaN statistic
+    # must stay a miss at every cut.
+    return np.array([np.count_nonzero(stats >= c) for c in cuts], dtype=np.int64)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -183,13 +192,11 @@ def exact_tail_multi(
     v = v_norm(arr, b)
     cuts = [tie_guarded(_check_x(x)) * v for x in xs]
     total = 1 << arr.size
-
-    def count_block(lo: int, hi: int, stats: np.ndarray) -> np.ndarray:
-        return np.array([np.count_nonzero(stats >= c) for c in cuts], dtype=np.int64)
-
     # A sum-statistic block is a few short numpy calls, so threads would
     # only contend for the interpreter lock: blocks run in one thread.
-    counts = sum(_enumerate(arr, stat == RUNNING_MAX, count_block, 1))
+    counts = sum(
+        _enumerate(arr, stat == RUNNING_MAX, lambda lo, hi, stats: _count_at(stats, cuts), 1)
+    )
     return [ExactTail(hits=int(c), total=total) for c in counts]
 
 
@@ -207,7 +214,8 @@ def exact_tail(
     vector.  The returned hits/total ratio is the exact probability.
 
     Args:
-        mags: nonnegative magnitudes, 1 <= len <= 30, at least one positive.
+        mags: nonnegative magnitudes, 1 <= len <= 30, at least one positive;
+            only their ratios matter.
         beta: variation exponent > 1.
         x: threshold on the self-normalized scale, > 0.
         stat: "running_max" or "final_sum".

@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_multi
 from .oracle import _resolve_workers
-from .simulate import DistributionSpec, estimate_tail, estimate_tail_multi
+from .simulate import DistributionSpec, _check_seed, estimate_tail, estimate_tail_multi
 
 # run_sweep calls only the multi-threshold forms; exact_tail and
 # estimate_tail stay importable from here because bench/tracing.py wraps
@@ -76,6 +76,7 @@ class SweepGrid:
             raise ValueError("sweep s values must be sorted ascending")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
+        _check_seed(self.seed)
 
 
 def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:

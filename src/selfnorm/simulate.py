@@ -21,9 +21,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .bounds import _check_beta, _check_n, _check_x, _t_value, tstat_threshold
+from .bounds import BoundEvaluation, bound_bn, bound_tstat, tstat_threshold
+from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
-from .oracle import _map_blocks, _resolve_workers
+from .oracle import _count_at, _map_blocks, _resolve_workers
 
 __all__ = [
     "TSTAT",
@@ -198,6 +199,13 @@ def respects(estimate: TailEstimate, bound: float) -> bool:
     return estimate.p_hat <= bound + 3.0 * (estimate.ci_high - estimate.p_hat)
 
 
+def _bound_for(stat: str, n: int, beta: float, x: float) -> BoundEvaluation:
+    """The bound stat's tail at x is checked against (beta unused by tstat)."""
+    if stat == TSTAT:
+        return bound_tstat(n, x)
+    return bound_bn(n, beta, x)
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -259,12 +267,18 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
     return _transform(spec, u[:n], u[n:])
 
 
-def _tstat_parts(vals: np.ndarray, n: int):
-    """Per-row (degenerate mask, t values); t is garbage where degenerate."""
-    degenerate = (vals == vals[:, :1]).all(axis=1)
-    means = vals.mean(axis=1)
-    ss = ((vals - means[:, None]) ** 2).sum(axis=1)
-    return degenerate, _t_value(n, means, ss)
+def _statistic(vals: np.ndarray, stat: str, b: float):
+    """Per-row (degenerate mask, statistic) of a block of samples; degenerate
+    rows (zero sample deviation, or V_n(b) = 0) hold garbage."""
+    if stat == TSTAT:
+        degenerate = (vals == vals[:, :1]).all(axis=1)
+        means = vals.mean(axis=1)
+        ss = ((vals - means[:, None]) ** 2).sum(axis=1)
+        return degenerate, _t_value(vals.shape[1], means, ss)
+    v = _beta_norm(vals, b)
+    degenerate = v == 0.0
+    sums = np.cumsum(vals, axis=1).max(axis=1) if stat == RUNNING_MAX else vals.sum(axis=1)
+    return degenerate, sums / np.where(degenerate, 1.0, v)
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -292,29 +306,15 @@ def estimate_tail_multi(
         raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
     n = _check_n(n, minimum=2 if stat == TSTAT else 1)
     b = _check_beta(beta)
-    cuts = np.array([tie_guarded(_check_x(x)) for x in xs])
+    cuts = [tie_guarded(_check_x(x)) for x in xs]
     trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
     spec.check_length(n)
 
     def count_block(lo: int, hi: int) -> np.ndarray:
-        vals = _draw_values(spec, n, seed, lo, hi)
-        if stat == TSTAT:
-            degenerate, stat_vals = _tstat_parts(vals, n)
-        else:
-            v = (np.abs(vals) ** b).sum(axis=1) ** (1.0 / b)
-            degenerate = v == 0.0
-            safe_v = np.where(degenerate, 1.0, v)
-            if stat == RUNNING_MAX:
-                stat_vals = np.cumsum(vals, axis=1).max(axis=1) / safe_v
-            else:
-                stat_vals = vals.sum(axis=1) / safe_v
-        # Elementwise >=, not a search over sorted values: a NaN statistic
-        # must stay a miss at every cut.
-        live = stat_vals[~degenerate]
-        hits = (live[:, None] >= cuts[None, :]).sum(axis=0)
-        return np.append(hits, degenerate.sum())
+        degenerate, stats = _statistic(_draw_values(spec, n, seed, lo, hi), stat, b)
+        return np.append(_count_at(stats[~degenerate], cuts), degenerate.sum())
 
     *hits, degenerate = sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
     degenerate = int(degenerate)
@@ -380,12 +380,9 @@ def efron_check(
 
     def count_block(lo: int, hi: int) -> int:
         vals = _draw_values(spec, n, seed, lo, hi)
-        degenerate, t = _tstat_parts(vals, n)
-        v = np.sqrt((vals * vals).sum(axis=1))
-        safe_v = np.where(degenerate, 1.0, v)
-        ratio = vals.sum(axis=1) / safe_v
-        live = ~degenerate
-        return int((live & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
+        degenerate, t = _statistic(vals, TSTAT, 2.0)
+        ratio = _statistic(vals, FINAL_SUM, 2.0)[1]
+        return int((~degenerate & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
 
     return sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
 
@@ -420,8 +417,6 @@ def empirical_log_rate(
     b = _check_beta(beta)
     alpha = float(alpha)
     c = float(c)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite real, got {alpha!r}")
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"c must be a finite real > 0, got {c!r}")
     if alpha == (b - 1.0) / b and c > 1.0:
@@ -437,7 +432,7 @@ def empirical_log_rate(
             spec,
             n,
             b,
-            c * float(n) ** alpha,
+            _rescaled_x(n, c, alpha),
             RUNNING_MAX,
             trials,
             _mix_seed(_check_seed(seed), n),

@@ -31,7 +31,7 @@ from .bounds import (
     tstat_threshold,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tail_multi, tie_guarded
-from .simulate import DistributionSpec, efron_check, estimate_tail
+from .simulate import DistributionSpec, _bound_for, efron_check, estimate_tail
 
 __all__ = ["SuiteFailure", "SUITES", "run_suites"]
 
@@ -211,7 +211,7 @@ _ORACLE_S = tuple(k / 10.0 for k in range(1, 11))
 
 
 def _oracle_cells(vectors):
-    """(n, beta, s, exact running-maximum tail probability, bound_bn value)
+    """(n, beta, s, exact running-maximum tail probability, its bound's value)
     for each magnitude vector, oracle beta and relative level s."""
     for mags in vectors:
         n = len(mags)
@@ -219,7 +219,7 @@ def _oracle_cells(vectors):
             xs = [threshold_from_s(n, beta, s) for s in _ORACLE_S]
             tails = exact_tail_multi(mags, beta, xs, RUNNING_MAX)
             for s, x, tail in zip(_ORACLE_S, xs, tails):
-                yield n, beta, s, tail.probability, bound_bn(n, beta, x).value
+                yield n, beta, s, tail.probability, _bound_for(RUNNING_MAX, n, beta, x).value
 
 
 def oracle_below_bound() -> str:
@@ -353,7 +353,7 @@ def bound_respect() -> str:
             cells.append((spec, simulate.TSTAT, 10, x, f"x={x}", 2000))
     for i, (spec, stat, n, x, where, base) in enumerate(cells):
         est = estimate_tail(spec, n, 2.0, x, stat, trials, seed=base + i)
-        b = (bound_tstat(n, x) if stat == simulate.TSTAT else bound_bn(n, 2.0, x)).value
+        b = _bound_for(stat, n, 2.0, x).value
         margin = 3.0 * (est.ci_high - est.p_hat)
         _require(
             simulate.respects(est, b),

@@ -7,6 +7,7 @@ and frozen here; tolerances reflect double-precision evaluation error.
 
 import math
 
+import numpy as np
 import pytest
 
 from selfnorm import (
@@ -32,6 +33,7 @@ from selfnorm import (
     two_sided_bound,
     v_norm,
 )
+from selfnorm.bounds import _beta_norm
 
 # (n, beta, x) -> B_n(beta, x), interior cells.
 INTERIOR_REFERENCE = [
@@ -140,6 +142,15 @@ class TestCorollary:
     def test_dominates_bound_bn_spot(self):
         for n, beta, x, _ in INTERIOR_REFERENCE:
             assert bound_bn(n, beta, x).value <= bound_corollary(n, beta, x) + 1e-15
+
+
+class TestBetaNorm:
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0, 3.0, 10.0])
+    def test_block_rows_equal_v_norm_bit_for_bit(self, beta):
+        rng = np.random.default_rng(17)
+        block = rng.standard_normal((200, 13)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1))
+        block[0] = 0.0
+        assert _beta_norm(block, beta).tolist() == [v_norm(row, beta) for row in block]
 
 
 class TestRescaled:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from selfnorm import parse_csv
+from selfnorm import cli, parse_csv
 from selfnorm.cli import main
 
 
@@ -226,6 +226,21 @@ class TestOracleCommand:
         assert rec["n"] == "3"
         assert float(rec["probability"]) == 0.25
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    @pytest.mark.parametrize(
+        "stat, n, threshold",
+        [("running-max", 3, "--s 0.5"), ("final-sum", 3, "--s 0.5"), ("tstat", 4, "--x 0.8")],
+    )
+    def test_extreme_magnitudes_count_like_unit_ones(
+        self, capsys, tmp_path, scale, stat, n, threshold
+    ):
+        path = tmp_path / "mags.txt"
+        path.write_text(f"{scale}\n" * n, encoding="ascii")
+        args = ["oracle", "--stat", stat, *threshold.split()]
+        code, out, err = run_cli(capsys, *args, "--dist", f"mags:{path}")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args, "--n", str(n))[1]
+
     def test_random_magnitude_law_rejected(self, capsys):
         code, _, err = run_cli(capsys, *"oracle --n 4 --dist gaussian --s 0.5".split())
         assert code == 2
@@ -316,6 +331,10 @@ class TestSweepCommand:
         assert run_cli(capsys, *"sweep --n 4 --s 0.5 --stat tstat".split())[0] == 2
         assert run_cli(capsys, *"sweep --n four --s 0.5".split())[0] == 2
 
+    def test_seed_checked_when_monte_carlo_is_off(self, capsys):
+        code, out, err = run_cli(capsys, *"sweep --n 4 --s 0.5 --trials 0 --seed -1".split())
+        assert (code, out, err) == (2, "", "error: seed must fit in 64 bits, got -1\n")
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, *"sweep --n 4 --beta 2 --s 0.5 --trials 0 --out /no/such/dir/x.csv".split()
@@ -368,6 +387,34 @@ class TestProcessLevel:
             "n=5 x=1e+200 stat=tstat hits=0 total=32 degenerate=2 probability=0 "
             "bound=0.03125\n"
         )
+
+    def test_aborted_cross_check_exits_one_with_a_one_line_error(self, tmp_path):
+        # The all-plus vector of magnitudes 1 and 1 + 1e-9 has T_n near 2e9,
+        # below x, while its S_n / V_n(2) lies within the tie guard of
+        # tau ~ sqrt(2): the oracle's two t-statistic routes disagree.
+        path = tmp_path / "mags.txt"
+        path.write_text("1\n1.000000001\n", encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfnorm", "oracle", "--stat", "tstat",
+             "--dist", f"mags:{path}", "--x", "1e12"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: t-statistic event and its self-normalized form disagree on "
+            "1 of 4 sign vectors\n"
+        )
+
+    def test_numeric_minimizer_failure_exits_one(self, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("golden-section search did not converge in 200 iterations")
+
+        monkeypatch.setattr(cli, "bernstein_numeric", fail)
+        code, out, err = run_cli(capsys, *"bound --kind bernstein --n 4 --s 0.5".split())
+        assert (code, out) == (1, "")
+        assert err == "error: golden-section search did not converge in 200 iterations\n"
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -1,4 +1,5 @@
-"""Every name a module lists in __all__ exists on that module."""
+"""Every name a module lists in __all__ exists on that module, and the package
+exports exactly its submodules' names."""
 
 import importlib
 
@@ -21,3 +22,11 @@ def test_all_names_exist(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_exports_are_the_submodules_exports():
+    import selfnorm
+    from selfnorm import bounds, oracle, report, simulate, verify
+
+    expected = bounds.__all__ + oracle.__all__ + report.__all__ + simulate.__all__
+    assert selfnorm.__all__ == expected + verify.__all__

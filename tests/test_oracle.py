@@ -209,6 +209,27 @@ class TestExactTstatTail:
             exact_tstat_tail([1.0], 1.0)
 
 
+class TestScaleFree:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_extreme_equal_magnitudes_count_like_unit_ones(self, scale, stat):
+        for n in (3, 8):
+            xs = [threshold_from_s(n, 2.0, s) for s in (0.2, 0.5, 0.8)]
+            unit = exact_tail_multi([1.0] * n, 2.0, xs, stat)
+            assert exact_tail_multi([scale] * n, 2.0, xs, stat) == unit
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_power_of_two_scale_leaves_float_magnitudes_unchanged(self, scale):
+        mags = np.array([0.3, 0.0, 1.7, 2.2, 0.9, 1.7])
+        for stat in (RUNNING_MAX, FINAL_SUM):
+            assert exact_tail(mags * scale, 1.5, 0.8, stat) == exact_tail(mags, 1.5, 0.8, stat)
+        assert exact_tstat_tail(mags * scale, 0.8) == exact_tstat_tail(mags, 0.8)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_tstat_at_extreme_equal_magnitudes(self, scale):
+        assert exact_tstat_tail([scale] * 4, 0.8) == exact_tstat_tail([1.0] * 4, 0.8)
+
+
 def _drawn_magnitudes(rng, n):
     """Float magnitudes with a zero and a repeated value where n allows."""
     mags = rng.uniform(0.0, 2.5, n)

@@ -12,6 +12,8 @@ from selfnorm import (
     RUNNING_MAX,
     TSTAT,
     DistributionSpec,
+    bound_bn,
+    bound_tstat,
     efron_check,
     empirical_log_rate,
     estimate_tail,
@@ -23,7 +25,7 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
-from selfnorm.simulate import Z99, TailEstimate, _trial_block, respects
+from selfnorm.simulate import Z99, TailEstimate, _bound_for, _trial_block, respects
 
 
 class TestDistributionSpec:
@@ -103,6 +105,14 @@ class TestRespects:
         assert respects(est, 0.0625)
         assert respects(est, 0.3)
         assert not respects(est, 0.0624)
+
+
+class TestBoundFor:
+    def test_each_statistic_gets_its_bound(self):
+        assert _bound_for(RUNNING_MAX, 10, 3.0, 1.5) == bound_bn(10, 3.0, 1.5)
+        assert _bound_for(FINAL_SUM, 10, 3.0, 1.5) == bound_bn(10, 3.0, 1.5)
+        assert _bound_for(TSTAT, 10, 3.0, 1.5) == bound_tstat(10, 1.5)
+        assert bound_tstat(10, 1.5) != bound_bn(10, 3.0, 1.5)
 
 
 class TestArgumentChecks:
@@ -357,3 +367,22 @@ class TestEmpiricalLogRate:
             empirical_log_rate(spec, 2.0, math.inf, 0.5)
         with pytest.raises(ValueError):
             empirical_log_rate(spec, 2.0, 1.2, 0.5, n_list=(4,), trials=100)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            # 10^400 overflows and 10^-400 underflows to 0.
+            (400.0, r"alpha=400\.0 takes x \* n\^alpha out of \(0, inf\) at n=10"),
+            (-400.0, r"alpha=-400\.0 takes x \* n\^alpha out of \(0, inf\) at n=10"),
+            (math.nan, "alpha must be a finite real, got nan"),
+        ],
+    )
+    def test_rejects_alpha_whose_threshold_leaves_the_finite_reals(self, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            empirical_log_rate(
+                DistributionSpec.rademacher(), 2.0, 0.5, alpha, n_list=(10,), trials=100
+            )
+
+    def test_rejects_level_c_with_its_own_message(self):
+        with pytest.raises(ValueError, match=r"^c must be a finite real > 0, got -0\.5$"):
+            empirical_log_rate(DistributionSpec.rademacher(), 2.0, -0.5, 400.0)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from selfnorm import bounds, report, verify
+from selfnorm import bounds, report, simulate, verify
 from selfnorm.verify import SuiteFailure
 
 
@@ -44,7 +44,7 @@ class TestBoundRespect:
         assert seeds == list(range(1000, 1020)) + list(range(2020, 2024))
 
     def test_sum_statistic_failure_message(self, monkeypatch):
-        monkeypatch.setattr(verify, "bound_bn", _tiny(bounds.bound_bn))
+        monkeypatch.setattr(simulate, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
@@ -53,7 +53,7 @@ class TestBoundRespect:
         )
 
     def test_tstat_failure_message(self, monkeypatch):
-        monkeypatch.setattr(verify, "bound_tstat", _tiny(bounds.bound_tstat))
+        monkeypatch.setattr(simulate, "bound_tstat", _tiny(bounds.bound_tstat))
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
@@ -73,7 +73,7 @@ class TestOracleBelowBound:
         ],
     )
     def test_failure_message(self, monkeypatch, suite, message):
-        monkeypatch.setattr(verify, "bound_bn", _tiny(bounds.bound_bn))
+        monkeypatch.setattr(simulate, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
             suite()
         assert str(failure.value) == message
