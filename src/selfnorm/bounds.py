@@ -107,13 +107,14 @@ class BernsteinResult:
 
 def endpoint_threshold(n: int, beta: float) -> float:
     """Largest attainable value n^((beta-1)/beta) of the statistic."""
+    n = _check_n(n)
     b = _check_beta(beta)
     return float(n) ** ((b - 1.0) / b)
 
 
 def threshold_from_s(n: int, beta: float, s: float) -> float:
     """Absolute threshold x = s * n^((beta-1)/beta) for a relative level s."""
-    return float(s) * endpoint_threshold(_check_n(n), beta)
+    return float(s) * endpoint_threshold(n, beta)
 
 
 def v_norm(xs, beta: float) -> float:

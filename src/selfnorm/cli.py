@@ -98,72 +98,27 @@ def _require_x(args, context: str) -> float:
     return args.x
 
 
-def _corollary_pairs(n: int, beta: float, x: float) -> list[tuple[str, object]]:
-    evaluation = bound_bn(n, beta, x)
-    return [
-        ("s", evaluation.s),
-        ("regime", evaluation.regime),
-        ("log_value", min(0.0, -_corollary_exponent(n, beta, x))),
-        ("value", bound_corollary(n, beta, x)),
-        ("extrapolated", corollary_is_extrapolated(beta)),
-    ]
-
-
-def cmd_bound(args) -> int:
+def _bound_record(args) -> list[tuple[str, object]]:
     n, beta = args.n, args.beta
     pairs: list[tuple[str, object]] = [("kind", args.kind), ("n", n)]
     if args.kind == "tstat":
         x = _require_x(args, "kind tstat")
         evaluation = bound_tstat(n, x)  # B_n(2, tau) at tau = tstat_threshold(n, x)
-        pairs += [
+        return pairs + [
             ("x", x),
             ("tau", evaluation.x),
             ("regime", evaluation.regime),
             ("log_value", evaluation.log_value),
             ("value", evaluation.value),
         ]
-        _emit(pairs)
-        return 0
-    pairs.append(("beta", beta))
     x = _resolve_x(args, n, beta)
-    pairs.append(("x", x))
-    if args.kind in ("bn", "entropy"):
-        form = bound_bn if args.kind == "bn" else bound_bn_entropy_form
-        evaluation = form(n, beta, x)
-        pairs += [
-            ("s", evaluation.s),
-            ("regime", evaluation.regime),
-            ("log_value", evaluation.log_value),
-            ("value", evaluation.value),
-        ]
-    elif args.kind == "corollary":
-        pairs += _corollary_pairs(n, beta, x)
-    elif args.kind == "bernstein":
-        result = bernstein_numeric(n, beta, x)
-        evaluation = bound_bn(n, beta, x)
-        pairs += [
-            ("s", evaluation.s),
-            ("regime", evaluation.regime),
-            ("lambda_star", result.lambda_star),
-            ("iterations", result.iterations),
-            ("log_value", result.log_objective),
-            ("value", result.objective_value),
-        ]
-    elif args.kind == "two-sided":
-        evaluation = bound_bn(n, beta, x)
-        log_value, value = _two_sided(evaluation)
-        pairs += [
-            ("s", evaluation.s),
-            ("regime", evaluation.regime),
-            ("log_value", log_value),
-            ("value", value),
-        ]
-    else:  # rescaled
+    pairs += [("beta", beta), ("x", x)]
+    if args.kind == "rescaled":
         if args.alpha is None:
             raise ValueError("kind rescaled needs --alpha")
         low, high = mdp_alpha_window(beta)
         scaled = _rescaled_x(n, x, args.alpha)
-        pairs += [
+        return pairs + [
             ("alpha", args.alpha),
             ("alpha_low", low),
             ("alpha_high", high),
@@ -171,7 +126,32 @@ def cmd_bound(args) -> int:
             ("value", bound_rescaled(n, beta, x, args.alpha)),
             ("scaled_x", scaled),
         ]
-    _emit(pairs)
+    # Every other kind reads s and the regime from one evaluation of B_n.
+    evaluation = (bound_bn_entropy_form if args.kind == "entropy" else bound_bn)(n, beta, x)
+    pairs += [("s", evaluation.s), ("regime", evaluation.regime)]
+    if args.kind == "corollary":
+        return pairs + [
+            ("log_value", min(0.0, -_corollary_exponent(n, beta, x))),
+            ("value", bound_corollary(n, beta, x)),
+            ("extrapolated", corollary_is_extrapolated(beta)),
+        ]
+    if args.kind == "bernstein":
+        result = bernstein_numeric(n, beta, x)
+        return pairs + [
+            ("lambda_star", result.lambda_star),
+            ("iterations", result.iterations),
+            ("log_value", result.log_objective),
+            ("value", result.objective_value),
+        ]
+    if args.kind == "two-sided":
+        log_value, value = _two_sided(evaluation)
+    else:
+        log_value, value = evaluation.log_value, evaluation.value
+    return pairs + [("log_value", log_value), ("value", value)]
+
+
+def cmd_bound(args) -> int:
+    _emit(_bound_record(args))
     return 0
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _check_beta, _check_n, _check_x, _t_value, tstat_threshold, v_norm
+from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _t_value, tstat_threshold
 
 __all__ = [
     "MAX_ENUM_N",
@@ -89,19 +89,25 @@ class ExactTail:
         return Fraction(self.hits, self.total)
 
 
-def _check_magnitudes(mags) -> np.ndarray:
+def _magnitude_array(mags) -> np.ndarray:
+    """mags as a float vector: non-empty, finite, nonnegative, one positive."""
     arr = np.asarray(mags, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("magnitudes must form a non-empty one-dimensional sequence")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ValueError("magnitudes must be finite and nonnegative")
+    if not np.any(arr > 0.0):
+        raise ValueError("at least one magnitude must be positive")
+    return arr
+
+
+def _check_magnitudes(mags) -> np.ndarray:
+    arr = _magnitude_array(mags)
     if arr.size > MAX_ENUM_N:
         raise ValueError(
             f"enumeration over 2^{arr.size} sign vectors exceeds the "
             f"n <= {MAX_ENUM_N} budget; use Monte Carlo estimation instead"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("magnitudes must be finite and nonnegative")
-    if not np.any(arr > 0.0):
-        raise ValueError("at least one magnitude must be positive")
     # Every statistic here is scale-free; with the largest magnitude at 1,
     # V_n stays finite and >= 1 and S_n^2 finite whatever the scale.
     return arr / arr.max()
@@ -161,10 +167,11 @@ def _double(states: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate(arr: np.ndarray, running_max: bool, count_block, workers: int) -> list:
+def _enumerate(arr: np.ndarray, running_max: bool, count_block) -> list:
     """count_block(lo, hi, stats) over blocks [lo, hi) of the 2^n sign vectors;
     stats are running maxima if running_max, else final sums.  The first
-    block starts with the all-minus vector, the last ends with all-plus."""
+    block starts with the all-minus vector, the last ends with all-plus.
+    Blocks run in one thread: a second thread gained at most 1.25x on 2 cores."""
     n = arr.size
     t = min(n - 1, _TAIL)
     first = np.array([[-arr[0], arr[0]]] * (1 + running_max))
@@ -173,7 +180,7 @@ def _enumerate(arr: np.ndarray, running_max: bool, count_block, workers: int) ->
     def extend(lo: int, hi: int):
         return count_block(lo, hi, _double(head[:, lo >> t : hi >> t], arr[n - t :])[-1])
 
-    return _map_blocks(extend, 1 << n, workers, 1 << min(n, _TAIL))
+    return _map_blocks(extend, 1 << n, 1, 1 << min(n, _TAIL))
 
 
 def exact_tail_multi(
@@ -189,13 +196,11 @@ def exact_tail_multi(
     if stat not in (RUNNING_MAX, FINAL_SUM):
         raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
     _resolve_workers(workers)
-    v = v_norm(arr, b)
+    v = float(_beta_norm(arr, b))
     cuts = [tie_guarded(_check_x(x)) * v for x in xs]
     total = 1 << arr.size
-    # A sum-statistic block is a few short numpy calls, so threads would
-    # only contend for the interpreter lock: blocks run in one thread.
     counts = sum(
-        _enumerate(arr, stat == RUNNING_MAX, lambda lo, hi, stats: _count_at(stats, cuts), 1)
+        _enumerate(arr, stat == RUNNING_MAX, lambda lo, hi, stats: _count_at(stats, cuts))
     )
     return [ExactTail(hits=int(c), total=total) for c in counts]
 
@@ -219,8 +224,8 @@ def exact_tail(
         beta: variation exponent > 1.
         x: threshold on the self-normalized scale, > 0.
         stat: "running_max" or "final_sum".
-        workers: checked like exact_tstat_tail's (default SELFNORM_THREADS
-            or 1), but sum statistics always enumerate in one thread.
+        workers: checked like estimate_tail's (default SELFNORM_THREADS or
+            1) and otherwise unused: enumeration always runs in one thread.
     """
     return exact_tail_multi(mags, beta, [x], stat, workers)[0]
 
@@ -234,15 +239,16 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     T_n >= x and through the equivalent self-normalized event
     S_n >= tstat_threshold(n, x) * V_n(2).  The two classifications must
     match vector for vector; a mismatch aborts rather than returning a
-    number that depends on the route taken.
+    number that depends on the route taken.  workers is checked as in
+    exact_tail and otherwise unused: enumeration runs in one thread.
     """
     arr = _check_magnitudes(mags)
     n = _check_n(int(arr.size), minimum=2)
     x = _check_x(x)
-    workers = _resolve_workers(workers)
+    _resolve_workers(workers)
     tau = tstat_threshold(n, x)
     cut_t = tie_guarded(x)
-    cut_sum = tie_guarded(tau) * v_norm(arr, 2.0)
+    cut_sum = tie_guarded(tau) * float(_beta_norm(arr, 2.0))
     total = 1 << n
     square_sum = float((arr * arr).sum())
     # Only the all-minus (first in the first block) and all-plus (last in
@@ -264,7 +270,7 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
                 ident[i] &= not constant
         return np.array([np.count_nonzero(direct), np.count_nonzero(direct != ident)])
 
-    hits, disagree = sum(_enumerate(arr, False, count_block, workers))
+    hits, disagree = sum(_enumerate(arr, False, count_block))
     degenerate = 2 if constant else 0
     if disagree:
         raise RuntimeError(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import (
     INTERIOR,
+    _check_n,
     bound_bn,
     bound_corollary,
     bernstein_numeric,
@@ -70,12 +71,11 @@ class SweepGrid:
             raise ValueError(
                 f"sweep stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {self.stat!r}"
             )
-        if any(s <= 0.0 or s > 1.0 for s in self.s_values):
+        if any(not 0.0 < s <= 1.0 for s in self.s_values):
             raise ValueError("sweep s values must lie in (0, 1]")
         if any(a >= b for a, b in zip(self.s_values, self.s_values[1:])):
             raise ValueError("sweep s values must be sorted ascending")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        _check_n(self.trials, minimum=0, name="trials")
         _check_seed(self.seed)
 
 

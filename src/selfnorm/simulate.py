@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from .bounds import BoundEvaluation, bound_bn, bound_tstat, tstat_threshold
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
-from .oracle import _count_at, _map_blocks, _resolve_workers
+from .oracle import _count_at, _magnitude_array, _map_blocks, _resolve_workers
 
 __all__ = [
     "TSTAT",
@@ -86,13 +86,7 @@ class DistributionSpec:
             if not math.isfinite(self.tail_index) or self.tail_index <= 0.0:
                 raise ValueError(f"tail index must be > 0, got {self.tail_index!r}")
         if self.kind == "fixed_magnitudes":
-            if not self.magnitudes:
-                raise ValueError("fixed_magnitudes needs a non-empty magnitude tuple")
-            arr = np.asarray(self.magnitudes, dtype=float)
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or not np.any(arr > 0.0):
-                raise ValueError(
-                    "fixed magnitudes must be finite, nonnegative, not all zero"
-                )
+            arr = _magnitude_array(self.magnitudes)
             object.__setattr__(self, "magnitudes", tuple(float(a) for a in arr))
 
     @classmethod
@@ -117,7 +111,7 @@ class DistributionSpec:
 
     @classmethod
     def fixed(cls, magnitudes) -> "DistributionSpec":
-        return cls("fixed_magnitudes", magnitudes=tuple(float(a) for a in magnitudes))
+        return cls("fixed_magnitudes", magnitudes=tuple(magnitudes))
 
     def infinite_moment(self, beta: float) -> bool:
         """True when E|xi|^beta diverges (Pareto with tail_index <= beta)."""
@@ -282,6 +276,7 @@ def _statistic(vals: np.ndarray, stat: str, b: float):
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    spec.check_length(n)
     u = trial_stream(seed, n, lo).random((hi - lo, _doubles_per_trial(n)))
     return _transform(spec, u[:, :n], u[:, n : 2 * n])
 
@@ -310,7 +305,6 @@ def estimate_tail_multi(
     trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
-    spec.check_length(n)
 
     def count_block(lo: int, hi: int) -> np.ndarray:
         degenerate, stats = _statistic(_draw_values(spec, n, seed, lo, hi), stat, b)

@@ -1,0 +1,58 @@
+"""The benchmark under bench/ calls the package by name and position.
+
+bench/tracing.py wraps the names in API_NAMES (on the package) and
+REPORT_NAMES (on selfnorm.report); bench/workloads.py passes worker counts
+positionally, including to the oracle, which only checks them.  These tests
+read both modules without changing them, so a rename or a dropped argument
+fails here instead of in the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import selfnorm
+import selfnorm.cli
+from selfnorm import report
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return tracing, workloads
+
+
+def test_traced_names_exist(bench):
+    tracing, _ = bench
+    for name in tracing.API_NAMES:
+        assert callable(getattr(selfnorm, name, None)), name
+    for name in tracing.REPORT_NAMES:
+        assert callable(getattr(report, name, None)), name
+
+
+@pytest.mark.parametrize("name", ["enumerate", "montecarlo", "sweep", "bound_table"])
+def test_workload_warms_up_and_builds(bench, name):
+    tracing, workloads = bench
+    assert name in workloads.WORKLOADS
+    workloads.warm_up(name, tracing.raw_api(selfnorm), selfnorm)
+    assert workloads.build(name, 1, selfnorm)
+
+
+def test_enumerate_pass_passes_its_checks(bench):
+    # One pass takes about 20 ms; it calls all three oracle statistics with
+    # a positional worker count.
+    tracing, workloads = bench
+    api = tracing.raw_api(selfnorm)
+    earlier = {}
+    for op in workloads.build("enumerate", 1, selfnorm):
+        result = op.call(api)
+        assert op.check(result, earlier) == [], op.label
+        earlier[op.label] = result

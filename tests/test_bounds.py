@@ -103,6 +103,21 @@ class TestThresholds:
         assert endpoint_threshold(1, 1.5) == 1.0
         assert endpoint_threshold(16, 2.0) == 4.0
 
+    @pytest.mark.parametrize(
+        "n, beta, message",
+        [
+            (-4, 2.0, "n must be >= 1, got -4"),
+            (0, 2.0, "n must be >= 1, got 0"),
+            (4.5, 2.0, "n must be an integer, got 4.5"),
+            (-1, 0.5, "n must be >= 1, got -1"),
+            (4, 0.5, "beta must be a finite real > 1, got 0.5"),
+        ],
+    )
+    def test_endpoint_threshold_checks_n_then_beta(self, n, beta, message):
+        # n = -4 gave a complex number and n = 0 gave 0.0.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            endpoint_threshold(n, beta)
+
     def test_threshold_round_trip(self):
         for s in (0.25, 0.5, 0.99, 1.0):
             x = threshold_from_s(12, 1.7, s)

@@ -83,6 +83,31 @@ class TestBoundCommand:
         "argv, expected",
         [
             (
+                "--n 20 --s 0.5",
+                "kind=bn n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
+                "log_value=-2.61624071882 value=0.0730770643367",
+            ),
+            (
+                "--n 5 --beta 3 --s 1.2 --kind bn",
+                "kind=bn n=5 beta=3 x=3.50882128586 s=1.2 regime=impossible "
+                "log_value=-inf value=0",
+            ),
+            (
+                "--n 4 --s 1 --kind entropy",
+                "kind=entropy n=4 beta=2 x=2 s=1 regime=endpoint "
+                "log_value=-2.77258872224 value=0.0625",
+            ),
+            (
+                "--n 4 --x 1 --kind tstat",
+                "kind=tstat n=4 x=1 tau=1 regime=interior "
+                "log_value=-0.523248143765 value=0.592592592593",
+            ),
+            (
+                "--n 3 --x 1e200 --kind tstat",
+                "kind=tstat n=3 x=1e+200 tau=1.73205080757 regime=endpoint "
+                "log_value=-2.07944154168 value=0.125",
+            ),
+            (
                 "--n 20 --s 0.5 --kind bernstein",
                 "kind=bernstein n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
                 "lambda_star=2.45657175916 iterations=50 log_value=-2.61624071882 "
@@ -130,6 +155,38 @@ class TestBoundCommand:
         code, out, _ = run_cli(capsys, "bound", *argv.split())
         assert code == 0
         assert out == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *[
+                (f"--n 0 --x 1 --kind {kind}", "n must be >= 1, got 0")
+                for kind in ("bn", "entropy", "corollary", "bernstein", "two-sided")
+            ],
+            ("--n 0 --x 1 --kind rescaled --alpha 0.4", "n must be >= 1, got 0"),
+            *[
+                (f"--n -1 --beta 0.5 --x 1 --kind {kind}", "n must be >= 1, got -1")
+                for kind in ("bn", "entropy", "corollary", "bernstein", "two-sided")
+            ],
+            (
+                "--n -1 --beta 0.5 --x 1 --kind rescaled --alpha 0.4",
+                "beta must be a finite real > 1, got 0.5",
+            ),
+            (
+                "--n 4 --s 1 --kind bernstein",
+                "numeric minimization needs x strictly below the endpoint "
+                "n^((beta-1)/beta); got scaled threshold s = 1.0",
+            ),
+            ("--n 5 --s 0.5 --kind tstat", "kind tstat takes an absolute threshold --x, not --s"),
+            ("--n 0 --x 1 --kind tstat", "n must be >= 2, got 0"),
+        ],
+    )
+    def test_error_records(self, capsys, argv, message):
+        # Which check fires first when n, beta or the threshold is bad.
+        code, out, err = run_cli(capsys, "bound", *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_corollary_rejects_n_zero(self, capsys):
         code, out, err = run_cli(capsys, *"bound --n 0 --x 1 --kind corollary".split())
@@ -225,6 +282,23 @@ class TestOracleCommand:
         rec = record(out)
         assert rec["n"] == "3"
         assert float(rec["probability"]) == 0.25
+
+    @pytest.mark.parametrize("command", ["oracle --x 1", "simulate --n 2 --x 1 --trials 10"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\nnan\n", "magnitudes must be finite and nonnegative"),
+            ("1\n-2\n", "magnitudes must be finite and nonnegative"),
+            ("0\n0\n", "at least one magnitude must be positive"),
+        ],
+    )
+    def test_bad_mags_file_reports_the_oracle_message(
+        self, capsys, tmp_path, command, text, message
+    ):
+        path = tmp_path / "mags.txt"
+        path.write_text(text, encoding="ascii")
+        code, out, err = run_cli(capsys, *command.split(), "--dist", f"mags:{path}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
     @pytest.mark.parametrize(
@@ -330,6 +404,10 @@ class TestSweepCommand:
         assert run_cli(capsys, *"sweep --n 4 --s 0.5,1.5".split())[0] == 2
         assert run_cli(capsys, *"sweep --n 4 --s 0.5 --stat tstat".split())[0] == 2
         assert run_cli(capsys, *"sweep --n four --s 0.5".split())[0] == 2
+
+    def test_nan_level_rejected_by_the_grid(self, capsys):
+        code, out, err = run_cli(capsys, *"sweep --n 4 --s nan".split())
+        assert (code, out, err) == (2, "", "error: sweep s values must lie in (0, 1]\n")
 
     def test_seed_checked_when_monte_carlo_is_off(self, capsys):
         code, out, err = run_cli(capsys, *"sweep --n 4 --s 0.5 --trials 0 --seed -1".split())

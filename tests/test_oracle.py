@@ -9,6 +9,7 @@ itself.
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from selfnorm import (
     FINAL_SUM,
     MAX_ENUM_N,
     RUNNING_MAX,
+    DistributionSpec,
     ExactTail,
     exact_tail,
     exact_tail_multi,
@@ -247,7 +249,7 @@ class TestKernelCrossCheck:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 16, 17])
     def test_statistics_bit_identical_to_cumulative_sums(self, stat, n):
         mags = _drawn_magnitudes(np.random.default_rng(n), n)
-        blocks = oracle._enumerate(mags, stat == RUNNING_MAX, lambda lo, hi, v: v.copy(), 1)
+        blocks = oracle._enumerate(mags, stat == RUNNING_MAX, lambda lo, hi, v: v.copy())
         kernel = np.sort(np.concatenate(blocks))
         assert np.array_equal(kernel, np.sort(sign_matrix_stats(mags, stat)))
 
@@ -361,16 +363,14 @@ class TestValidation:
             exact_tail([1.0] * 3, 2.0, 1.0)
 
     def test_sum_statistics_enumerate_in_one_thread(self, monkeypatch):
-        # Threads lose on the short sum-statistic blocks; only the
-        # t-statistic may hand its blocks to a pool.
+        # Every statistic enumerates in one thread, whatever workers says.
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started")
 
         monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
         for stat in (RUNNING_MAX, FINAL_SUM):
             exact_tail_multi([1.0] * 18, 2.0, [0.5, 1.0], stat, workers=2)
-        with pytest.raises(AssertionError, match="thread pool"):
-            exact_tstat_tail([1.0] * 18, 1.0, workers=2)
+        exact_tstat_tail([1.0] * 18, 1.0, workers=2)
 
     def test_accepts_multi_block_sizes(self):
         # n = 18 spans several enumeration blocks without blowing the runtime.
@@ -384,6 +384,20 @@ class TestValidation:
     def test_rejects_bad_magnitudes(self, bad):
         with pytest.raises(ValueError):
             exact_tail(bad, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[], [[1.0, 2.0]], [1.0, -2.0], [math.nan], [0.0, 0.0], [1.0, math.inf]],
+    )
+    def test_fixed_law_and_oracle_share_the_magnitude_rule(self, bad):
+        with pytest.raises(ValueError) as from_oracle:
+            exact_tail(bad, 2.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(from_oracle.value))}$"):
+            DistributionSpec.fixed(bad)
+
+    def test_validity_is_checked_before_the_budget(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            exact_tail([1.0] * MAX_ENUM_N + [-1.0], 2.0, 1.0)
 
     def test_rejects_bad_stat_and_threshold(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Sweep rows against the single-threshold oracle and estimator."""
 
+import math
+
 import pytest
 
 from selfnorm import (
@@ -55,3 +57,24 @@ def test_mismatched_fixed_length_leaves_oracle_blank():
     assert rows[1]["oracle_exact"] == exact_tail([1.0, 2.0, 3.0], 2.0, rows[1]["x"]).probability
     with pytest.raises(ValueError, match="length 3"):
         run_sweep(SweepGrid((2, 3), (2.0,), (0.5,), RUNNING_MAX, dist, trials=10))
+
+
+@pytest.mark.parametrize(
+    "trials, message",
+    [
+        (False, "trials must be an integer, got False"),
+        (True, "trials must be an integer, got True"),
+        (2.5, "trials must be an integer, got 2.5"),
+        (-1, "trials must be >= 0, got -1"),
+    ],
+)
+def test_grid_rejects_bad_trials(trials, message):
+    # A bool would otherwise land in the CSV trials column as "False".
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepGrid((4,), (2.0,), (0.5,), trials=trials)
+
+
+@pytest.mark.parametrize("s_values", [(math.nan,), (0.5, math.nan), (math.nan, 0.5)])
+def test_grid_rejects_nan_levels(s_values):
+    with pytest.raises(ValueError, match=r"^sweep s values must lie in \(0, 1\]$"):
+        SweepGrid((4,), (2.0,), s_values)

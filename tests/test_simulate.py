@@ -335,6 +335,12 @@ class TestEfron:
         with pytest.raises(ValueError):
             efron_check(DistributionSpec.gaussian(), 1, 1.0, 100)
 
+    def test_checks_fixed_vector_length(self):
+        with pytest.raises(
+            ValueError, match=r"^fixed magnitude vector has length 3, but n = 5 was requested$"
+        ):
+            efron_check(DistributionSpec.fixed([1, 2, 3]), 5, 1.0, 100)
+
 
 class TestEmpiricalLogRate:
     def test_normalization_and_substreams(self):
