@@ -134,16 +134,22 @@ def _beta_norm(values: np.ndarray, b: float):
     return np.asarray((np.abs(values) ** b).sum(axis=-1)) ** (1.0 / b)
 
 
-def log_cosh(u: float) -> float:
+def log_cosh(u: float | np.ndarray) -> float | np.ndarray:
     """log(cosh(u)) without overflow and without cancellation near 0.
 
     Large |u| uses |u| - log 2 + log1p(exp(-2|u|)); small |u| uses
-    log1p(2 sinh^2(u/2)), accurate down to the u^2/2 series region.
+    log1p(2 sinh^2(u/2)), accurate down to the u^2/2 series region.  Each
+    branch runs only on its own entries (sinh overflows past |u| ~ 710).
+    A scalar gives a float, computed as a one-entry array so that it equals
+    the array result entry for entry; an array gives an array.
     """
-    a = abs(float(u))
-    if a < 1.0:
-        return math.log1p(2.0 * math.sinh(0.5 * a) ** 2)
-    return a - _LN2 + math.log1p(math.exp(-2.0 * a))
+    a = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
+    out = np.empty_like(a)
+    small = a < 1.0
+    out[small] = np.log1p(2.0 * np.sinh(0.5 * a[small]) ** 2)
+    large = a[~small]
+    out[~small] = large - _LN2 + np.log1p(np.exp(-2.0 * large))
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def _entropy(s: float) -> float:
@@ -294,10 +300,8 @@ _TOL = 1e-10  # relative width at which the golden-section bracket stops
 def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
     """Minimize exp(-lambda x) cosh(lambda / n^(1/beta))^n over lambda >= 0.
 
-    Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
-    is strictly convex: a doubling search brackets the minimum (the
-    derivative turns positive once tanh(lambda/n^(1/beta)) exceeds s), then
-    golden-section refines it.  The attained minimum must agree with the
+    A one-cell call of the search that _bernstein_search runs on many cells;
+    see there for the method.  The attained minimum must agree with the
     closed form bound_bn; this routine is the independent numeric route of
     that cross-check, so it never consults the closed form.
 
@@ -307,50 +311,97 @@ def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
         x: threshold with 0 < x < n^((beta-1)/beta); the endpoint and the
             impossible regime are rejected (the closed form covers those).
     """
-    n = _check_n(n)
-    b = _check_beta(beta)
-    x = _check_x(x)
-    s = x / endpoint_threshold(n, b)
-    if s >= 1.0:
-        raise ValueError(
-            "numeric minimization needs x strictly below the endpoint "
-            f"n^((beta-1)/beta); got scaled threshold s = {s}"
-        )
-    n1b = float(n) ** (1.0 / b)
+    lam, log_objective, iterations = _bernstein_search([(n, beta, x)])
+    return BernsteinResult(
+        float(lam[0]), math.exp(log_objective[0]), int(iterations[0]), float(log_objective[0])
+    )
 
-    def f(lam: float) -> float:
-        return -lam * x + n * log_cosh(lam / n1b)
+
+def _bernstein_search(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bernstein_numeric for each (n, beta, x) cell, in one vectorized search.
+
+    cells may be any iterable; it is read once, straight into arrays, so a
+    large sweep holds no per-cell Python objects.  Returns the minimizers,
+    the minima f(lambda_star) and the iteration counts, one entry per cell;
+    objective_value is math.exp of the minimum.
+
+    Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
+    is strictly convex: a doubling search brackets each minimum (the
+    derivative turns positive once tanh(lambda/n^(1/beta)) exceeds s), then
+    golden-section refines it.  Every cell runs the same float operations
+    in its own array entry and stops moving once its bracket is narrow
+    enough, so its result does not depend on the other cells.
+    """
+
+    def checked():
+        for n, beta, x in cells:
+            n = _check_n(n)
+            b = _check_beta(beta)
+            x = _check_x(x)
+            s = x / endpoint_threshold(n, b)
+            if s >= 1.0:
+                raise ValueError(
+                    "numeric minimization needs x strictly below the endpoint "
+                    f"n^((beta-1)/beta); got scaled threshold s = {s}"
+                )
+            yield float(n), float(n) ** (1.0 / b), x, s
+
+    n, n1b, x, s = np.fromiter(checked(), dtype=(float, 4)).T.copy()
 
     # Bracket: f'(lam) > 0 once tanh(lam / n^(1/beta)) > s, which a doubling
     # search reaches because s < 1.
-    hi = n1b
-    while math.tanh(hi / n1b) <= s:
-        hi *= 2.0
-        if hi > 1e300:
+    hi = n1b.copy()
+    low = np.tanh(hi / n1b) <= s
+    while low.any():
+        hi[low] *= 2.0
+        if (hi[low] > 1e300).any():
             raise RuntimeError("bracketing the exponential-moment minimum failed")
+        low = np.tanh(hi / n1b) <= s
 
-    lo = 0.0
+    # Golden-section on the cells still open, which all have run the same
+    # number of steps; a cell leaves with its midpoint once its bracket is
+    # narrow enough.
+    lam = np.empty_like(hi)
+    iterations = np.empty(n.size, dtype=int)
+    lo = np.zeros_like(hi)
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while hi - lo > _TOL * max(1.0, 0.5 * (lo + hi)):
-        if iterations >= _MAX_ITERATIONS:
+    cell, cn, cn1b, cx = np.arange(n.size), n, n1b, x
+    fc, fd = _moment_log(c, cn, cn1b, cx), _moment_log(d, cn, cn1b, cx)
+    step = 0
+    while True:
+        done = ~(hi - lo > _TOL * np.maximum(1.0, 0.5 * (lo + hi)))
+        if done.any():
+            lam[cell[done]] = 0.5 * (lo[done] + hi[done])
+            iterations[cell[done]] = step
+            keep = ~done
+            lo, hi, c, d, fc, fd, cell, cn, cn1b, cx = (
+                a[keep] for a in (lo, hi, c, d, fc, fd, cell, cn, cn1b, cx)
+            )
+        if not cell.size:
+            break
+        if step >= _MAX_ITERATIONS:
             raise RuntimeError(
                 f"golden-section search did not converge in {_MAX_ITERATIONS} iterations"
             )
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-        iterations += 1
-    lam = 0.5 * (lo + hi)
-    log_objective = f(lam)
-    return BernsteinResult(lam, math.exp(log_objective), iterations, log_objective)
+        # Where f(c) < f(d) the minimum lies in [lo, d]: d <- c and a new c.
+        # Elsewhere it lies in [c, hi]: c <- d and a new d.
+        left = fc < fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        width = _INV_PHI * (hi - lo)
+        probe = np.where(left, hi - width, lo + width)
+        f_probe = _moment_log(probe, cn, cn1b, cx)
+        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+        step += 1
+    return lam, _moment_log(lam, n, n1b, x), iterations
+
+
+def _moment_log(lam, n, n1b, x):
+    """The log objective f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta))."""
+    return -lam * x + n * log_cosh(lam / n1b)
 
 
 def tstat_threshold(n: int, x: float) -> float:

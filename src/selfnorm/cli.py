@@ -28,6 +28,7 @@ from .bounds import (
     bound_rescaled,
     bound_tstat,
     corollary_is_extrapolated,
+    endpoint_threshold,
     mdp_alpha_window,
     threshold_from_s,
 )
@@ -114,6 +115,7 @@ def _bound_record(args) -> list[tuple[str, object]]:
     x = _resolve_x(args, n, beta)
     pairs += [("beta", beta), ("x", x)]
     if args.kind == "rescaled":
+        endpoint_threshold(n, beta)  # checks n, then beta, before alpha, like every kind
         if args.alpha is None:
             raise ValueError("kind rescaled needs --alpha")
         low, high = mdp_alpha_window(beta)

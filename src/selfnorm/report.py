@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 
 from .bounds import (
     INTERIOR,
+    _bernstein_search,
     _check_n,
     bound_bn,
     bound_corollary,
@@ -25,9 +27,9 @@ from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_m
 from .oracle import _resolve_workers
 from .simulate import DistributionSpec, _check_seed, estimate_tail, estimate_tail_multi
 
-# run_sweep calls only the multi-threshold forms; exact_tail and
-# estimate_tail stay importable from here because bench/tracing.py wraps
-# this module's names.
+# run_sweep calls only the multi-threshold forms and the batched search;
+# exact_tail, estimate_tail and bernstein_numeric stay importable from here
+# because bench/tracing.py wraps this module's names.
 
 __all__ = ["COLUMNS", "SweepGrid", "run_sweep", "render_csv", "render_json", "parse_csv"]
 
@@ -83,15 +85,17 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """Evaluate every grid cell; returns one flat record per cell.
 
     Each (n, beta) pair runs one enumeration and one Monte Carlo stream for
-    all its s values.  Unavailable entries (enumeration over the budget,
-    random-magnitude laws, endpoint cells for the numeric minimizer, Monte
-    Carlo turned off) are None.  The worker count is resolved before any
+    all its s values, and one batched search fills the numeric minimization
+    of every interior cell of the grid.  Unavailable entries (enumeration
+    over the budget, random-magnitude laws, endpoint cells for the numeric
+    minimizer, Monte Carlo turned off) are None.  The worker count is resolved before any
     cell, so a bad SELFNORM_THREADS fails even when no kernel would run.
     """
     workers = _resolve_workers(workers)
     dist = grid.dist
     blank = [None] * len(grid.s_values)
     rows = []
+    interior = []  # rows the numeric search fills after the loop
     for n in grid.n_values:
         mags = None
         if dist.supports_exact() and n <= MAX_ENUM_N:
@@ -111,27 +115,27 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
                 )
             for s, x, probability, est in zip(grid.s_values, xs, exact, estimates):
                 evaluation = bound_bn(n, beta, x)
-                rows.append(
-                    {
-                        "n": n,
-                        "beta": beta,
-                        "s": s,
-                        "x": x,
-                        "bound_bn": evaluation.value,
-                        "bound_corollary": bound_corollary(n, beta, x),
-                        "bernstein_numeric": (
-                            bernstein_numeric(n, beta, x).objective_value
-                            if evaluation.regime == INTERIOR
-                            else None
-                        ),
-                        "oracle_exact": probability,
-                        "mc_p_hat": None if est is None else est.p_hat,
-                        "mc_ci_low": None if est is None else est.ci_low,
-                        "mc_ci_high": None if est is None else est.ci_high,
-                        "trials": grid.trials,
-                        "seed": grid.seed,
-                    }
-                )
+                row = {
+                    "n": n,
+                    "beta": beta,
+                    "s": s,
+                    "x": x,
+                    "bound_bn": evaluation.value,
+                    "bound_corollary": bound_corollary(n, beta, x),
+                    "bernstein_numeric": None,
+                    "oracle_exact": probability,
+                    "mc_p_hat": None if est is None else est.p_hat,
+                    "mc_ci_low": None if est is None else est.ci_low,
+                    "mc_ci_high": None if est is None else est.ci_high,
+                    "trials": grid.trials,
+                    "seed": grid.seed,
+                }
+                rows.append(row)
+                if evaluation.regime == INTERIOR:
+                    interior.append(row)
+    _, log_objective, _ = _bernstein_search((r["n"], r["beta"], r["x"]) for r in interior)
+    for row, value in zip(interior, log_objective):
+        row["bernstein_numeric"] = math.exp(value)  # bernstein_numeric's objective_value
     return rows
 
 

@@ -151,37 +151,39 @@ def dominance() -> str:
 
 def bernstein_consistency() -> str:
     """Numeric minimization reproduces the closed form and its minimizer."""
+    grid = [
+        (n, beta, s, threshold_from_s(n, beta, s))
+        for n in _N_GRID
+        for beta in _BETAS
+        for s in (0.01, 0.1, 0.5, 0.9, 0.99)
+    ]
+    # One batched search; each cell's result equals bernstein_numeric's.
+    found, log_objective, _ = bounds._bernstein_search([(n, beta, x) for n, beta, _, x in grid])
     worst_obj = worst_lam = 0.0
-    cells = 0
-    for n in _N_GRID:
-        for beta in _BETAS:
-            for s in (0.01, 0.1, 0.5, 0.9, 0.99):
-                x = threshold_from_s(n, beta, s)
-                result = bernstein_numeric(n, beta, x)
-                closed = bound_bn(n, beta, x).value
-                lam = lambda_star(n, beta, x)
-                dev_obj = abs(result.objective_value - closed) / closed
-                dev_lam = abs(result.lambda_star - lam) / lam
-                worst_obj = max(worst_obj, dev_obj)
-                worst_lam = max(worst_lam, dev_lam)
-                cells += 1
-                _require(
-                    dev_obj <= 1e-9,
-                    f"objective off by rel {dev_obj:.3e} at n={n} beta={beta} s={s}",
-                )
-                _require(
-                    dev_lam <= 1e-6,
-                    f"minimizer off by rel {dev_lam:.3e} at n={n} beta={beta} s={s}",
-                )
-    return f"{cells} cells: objective within {worst_obj:.2e}, minimizer within {worst_lam:.2e}"
+    for (n, beta, s, x), numeric, log_numeric in zip(grid, found, log_objective):
+        closed = bound_bn(n, beta, x).value
+        lam = lambda_star(n, beta, x)
+        dev_obj = abs(math.exp(log_numeric) - closed) / closed
+        dev_lam = abs(numeric - lam) / lam
+        worst_obj = max(worst_obj, dev_obj)
+        worst_lam = max(worst_lam, dev_lam)
+        _require(
+            dev_obj <= 1e-9,
+            f"objective off by rel {dev_obj:.3e} at n={n} beta={beta} s={s}",
+        )
+        _require(
+            dev_lam <= 1e-6,
+            f"minimizer off by rel {dev_lam:.3e} at n={n} beta={beta} s={s}",
+        )
+    return f"{len(grid)} cells: objective within {worst_obj:.2e}, minimizer within {worst_lam:.2e}"
 
 
 def majorization() -> str:
     """log_cosh(u) <= u^2/2 and log_cosh is even on [-50, 50]."""
-    for u in np.linspace(-50.0, 50.0, 2001):
-        value = log_cosh(u)
+    grid = np.linspace(-50.0, 50.0, 2001)
+    for u, value, mirror in zip(grid, log_cosh(grid), log_cosh(-grid)):
         _require(value <= 0.5 * u * u, f"log_cosh({u}) exceeds u^2/2")
-        _require(value == log_cosh(-u), f"log_cosh not even at {u}")
+        _require(value == mirror, f"log_cosh not even at {u}")
     return "2001 grid points majorized"
 
 

@@ -33,7 +33,7 @@ from selfnorm import (
     two_sided_bound,
     v_norm,
 )
-from selfnorm.bounds import _beta_norm
+from selfnorm.bounds import _bernstein_search, _beta_norm
 
 # (n, beta, x) -> B_n(beta, x), interior cells.
 INTERIOR_REFERENCE = [
@@ -235,6 +235,48 @@ class TestBernstein:
         assert lambda_star(4, 2.0, 2.0) == math.inf
 
 
+class TestBernsteinBatch:
+    # Extremes of the search: s down to 1e-300 and up to just below 1, a
+    # bracket that doubles far at n = 10^6 with beta = 1.01, and tails whose
+    # objective underflows to 0.
+    CELLS = [
+        (n, beta, threshold_from_s(n, beta, s))
+        for n, beta in ((1, 1.01), (2, 2.0), (10**6, 1.01), (10**6, 2.0), (10**4, 10.0))
+        for s in (1e-300, 1e-8, 0.5, 0.999999, 1.0 - 1e-15)
+    ]
+
+    def test_extremes_match_closed_form(self):
+        lam, log_objective, iterations = _bernstein_search(self.CELLS)
+        for (n, beta, x), log_value, steps in zip(self.CELLS, log_objective, iterations):
+            closed = bound_bn(n, beta, x)
+            assert closed.regime == INTERIOR
+            if closed.value > 0.0:
+                assert abs(math.exp(log_value) - closed.value) <= 1e-9 * closed.value
+            else:
+                assert log_value == pytest.approx(closed.log_value, rel=1e-9)
+            assert 0 < steps < 200
+        assert np.all(lam > 0.0)
+
+    def test_cells_do_not_depend_on_the_batch(self):
+        # Reversed order puts every cell in another lane; one-cell calls are
+        # bernstein_numeric itself.
+        lam, log_objective, iterations = _bernstein_search(self.CELLS)
+        back = _bernstein_search(self.CELLS[::-1])
+        for got, reversed_ in zip((lam, log_objective, iterations), back):
+            assert np.array_equal(got, reversed_[::-1])
+        for cell, l, v, k in zip(self.CELLS, lam, log_objective, iterations):
+            single = bernstein_numeric(*cell)
+            assert (single.lambda_star, single.log_objective, single.iterations) == (l, v, k)
+            assert single.objective_value == math.exp(v)
+
+    def test_empty_batch(self):
+        assert [a.size for a in _bernstein_search([])] == [0, 0, 0]
+
+    def test_rejects_an_endpoint_cell_in_a_batch(self):
+        with pytest.raises(ValueError, match="strictly below the endpoint"):
+            _bernstein_search([(4, 2.0, 1.0), (4, 2.0, 2.0)])
+
+
 class TestLogCosh:
     def test_near_zero_keeps_quadratic_term(self):
         assert abs(log_cosh(1e-8) - 5e-17) <= 1e-20
@@ -252,6 +294,22 @@ class TestLogCosh:
     def test_majorized_by_half_square(self):
         for u in (1e-6, 0.1, 1.0, 10.0):
             assert log_cosh(u) <= 0.5 * u * u
+
+    def test_array_equals_scalar_entry_for_entry(self):
+        u = np.concatenate([np.linspace(-50.0, 50.0, 2001), [1e-8, 1000.0]])
+        values = log_cosh(u)
+        assert values.shape == u.shape
+        assert [float(v) for v in values] == [log_cosh(float(a)) for a in u]
+        assert isinstance(log_cosh(0.5), float)
+
+    def test_past_sinh_overflow(self):
+        # sinh overflows beyond |u| ~ 710; only the small branch calls it, so
+        # no RuntimeWarning (an error under pytest) and log cosh u = |u| - log 2.
+        u = np.array([-1e300, -800.0, 710.5, 1e300, 0.25])
+        values = log_cosh(u)
+        assert list(values[:4]) == [1e300, 800.0 - math.log(2.0), 710.5 - math.log(2.0), 1e300]
+        assert values[4] == log_cosh(0.25)
+        assert log_cosh(-1e300) == 1e300
 
 
 class TestTstat:

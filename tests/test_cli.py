@@ -110,7 +110,7 @@ class TestBoundCommand:
             (
                 "--n 20 --s 0.5 --kind bernstein",
                 "kind=bernstein n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
-                "lambda_star=2.45657175916 iterations=50 log_value=-2.61624071882 "
+                "lambda_star=2.45657178166 iterations=50 log_value=-2.61624071882 "
                 "value=0.0730770643367",
             ),
             (
@@ -168,10 +168,9 @@ class TestBoundCommand:
                 (f"--n -1 --beta 0.5 --x 1 --kind {kind}", "n must be >= 1, got -1")
                 for kind in ("bn", "entropy", "corollary", "bernstein", "two-sided")
             ],
-            (
-                "--n -1 --beta 0.5 --x 1 --kind rescaled --alpha 0.4",
-                "beta must be a finite real > 1, got 0.5",
-            ),
+            ("--n -1 --beta 0.5 --x 1 --kind rescaled --alpha 0.4", "n must be >= 1, got -1"),
+            ("--n 0 --x 1 --kind rescaled", "n must be >= 1, got 0"),
+            ("--n 4 --beta 0.5 --x 1 --kind rescaled", "beta must be a finite real > 1, got 0.5"),
             (
                 "--n 4 --s 1 --kind bernstein",
                 "numeric minimization needs x strictly below the endpoint "

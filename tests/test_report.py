@@ -6,9 +6,12 @@ import pytest
 
 from selfnorm import (
     FINAL_SUM,
+    INTERIOR,
     RUNNING_MAX,
     DistributionSpec,
     SweepGrid,
+    bernstein_numeric,
+    bound_bn,
     estimate_tail,
     exact_tail,
     run_sweep,
@@ -48,6 +51,29 @@ def test_rows_equal_single_threshold_calls(dist, stat):
                     est.ci_high,
                 )
     assert next(rows, None) is None
+
+
+def test_bernstein_column_equals_one_cell_calls():
+    # One batched search fills the column for the whole grid; each entry must
+    # not depend on the batch size or on the cell's lane in it.
+    grid = SweepGrid(
+        (1, 2, 64, 4096, 10**4),
+        (1.01, 1.5, 2.0, 10.0),
+        (1e-300, 0.01, 0.5, 0.99, 1.0 - 1e-15, 1.0),
+        dist=DistributionSpec.gaussian(),
+        trials=0,
+    )
+    rows = run_sweep(grid)
+    assert len(rows) == 120
+    interior = 0
+    for row in rows:
+        n, beta, x = row["n"], row["beta"], row["x"]
+        if bound_bn(n, beta, x).regime == INTERIOR:
+            assert row["bernstein_numeric"] == bernstein_numeric(n, beta, x).objective_value
+            interior += 1
+        else:
+            assert row["bernstein_numeric"] is None
+    assert interior == 100  # every cell below s = 1
 
 
 def test_mismatched_fixed_length_leaves_oracle_blank():
