@@ -1,8 +1,8 @@
 """Throughput of the exact enumeration kernel, in sign vectors per second.
 
 Times exact_tail (running maximum and final sum) and exact_tstat_tail on
-seeded float magnitudes at n = 16, 20 and 24, plus one running-maximum
-call at n = 30, all on one thread, and stores the rates under a label in
+seeded float magnitudes at n = 16, 20 and 24, plus one call of each at
+n = 30, all on one thread, and stores the rates under a label in
 BENCH_oracle.json together with the core count, the numpy version, the git
 sha of the measured source tree and a sha256 of its selfnorm sources (which
 identifies uncommitted trees too).  Other labels in the file are kept,
@@ -12,7 +12,8 @@ so two source trees can be recorded side by side:
     python benchmarks/oracle.py --label parent --src /path/to/parent/src
 
 Each record also carries the hit count, so the two trees can be checked
-for equal counts as well as compared for speed.
+for equal counts as well as compared for speed: the script exits 1 when
+a hit count differs from the same record under another label.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (16, 20, 24)
 STATS = ("running_max", "final_sum", "tstat")
-# Each (stat, n) cell repeats its call for this long; BIG_N gets one call.
+# Each (stat, n) cell repeats its call for this long; BIG_N gets one call
+# per statistic.
 MIN_SECONDS = 1.0
 BIG_N = 30
 
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     import selfnorm as sn
 
     records = [_measure(sn, stat, n, MIN_SECONDS) for n in SIZES for stat in STATS]
-    records.append(_measure(sn, "running_max", BIG_N, 0.0))
+    records += [_measure(sn, stat, BIG_N, 0.0) for stat in STATS]
     for rec in records:
         print(
             f"{rec['stat']:<12} n={rec['n']:<3} {rec['best_s']:10.4f} s "
@@ -118,7 +120,18 @@ def main(argv: list[str] | None = None) -> int:
         "records": records,
     }
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    return 0
+
+    hits = {(rec["stat"], rec["n"]): rec["hits"] for rec in records}
+    mismatches = [
+        f"{rec['stat']} n={rec['n']}: hits {hits[rec['stat'], rec['n']]} here, "
+        f"{rec['hits']} under {label}"
+        for label, run in bench["runs"].items()
+        for rec in run["records"]
+        if hits.get((rec["stat"], rec["n"]), rec["hits"]) != rec["hits"]
+    ]
+    for line in mismatches:
+        print(f"hit count differs: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -15,15 +15,22 @@ guard from every atom are classified exactly as written.  The Monte Carlo
 module applies the same guard so the two agree sign vector for sign
 vector.
 
-The kernel doubles prefix states one coordinate at a time: each state
-carries its partial sum S and the running maximum M of its prefix sums,
-and coordinate a maps them to S <- [S - a, S + a], M <- max([M, M], S),
-O(2^n) work in all.  The first max(1, n - 16) coordinates build a head of
-at most 2^14 states; each block extends a slice of it over the rest, so
-no block holds more than 2^16 sign vectors whatever n is.  Additions run
-in np.cumsum's sequential order: running maxima are bit-identical to a
-cumulative sum, and the final sum is the sequential S_n, which for float
-magnitudes can differ in the last ulp from numpy's pairwise sum.
+Counting splits the sign vectors in the middle (Horowitz and Sahni's
+meet in the middle).  Each half's prefix states, its partial sum S and
+the running maximum M of its prefix sums, come from doubling one
+coordinate at a time, S <- [S - a, S + a], M <- max([M, M], S), in
+sequential order within the half.  The vector that joins state i of the
+first half h = n // 2 coordinates to state j of the rest has final sum
+S1_i + S2_j and running maximum max(M1_i, S1_i + M2_j).  The second
+half's key (S2, or M2) is sorted once, and each first-half state finds
+its hits as a suffix of it with np.searchsorted: O(2^(n/2) log) work per
+threshold and two halves of at most 2^15 states each at n = 30, whatever
+the threshold count.  Float addition is monotone, so each count equals a
+count_nonzero over the materialized pair statistics exactly.  For float
+magnitudes S1 + S2 and S1 + M2 are not the sequential cumulative sums,
+and differ from them in the last ulps; that moves a count only when a
+statistic lies within rounding of the tie-guarded cut.  Integer-valued
+normalized magnitudes sum exactly either way.
 """
 
 from __future__ import annotations
@@ -57,9 +64,6 @@ TIE_GUARD = 1e-9
 
 RUNNING_MAX = "running_max"
 FINAL_SUM = "final_sum"
-
-# Most coordinates a block extends the head over: 2^16 sign vectors.
-_TAIL = 16
 
 
 def tie_guarded(x: float) -> float:
@@ -167,20 +171,47 @@ def _double(states: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate(arr: np.ndarray, running_max: bool, count_block) -> list:
-    """count_block(lo, hi, stats) over blocks [lo, hi) of the 2^n sign vectors;
-    stats are running maxima if running_max, else final sums.  The first
-    block starts with the all-minus vector, the last ends with all-plus.
-    Blocks run in one thread: a second thread gained at most 1.25x on 2 cores."""
-    n = arr.size
-    t = min(n - 1, _TAIL)
-    first = np.array([[-arr[0], arr[0]]] * (1 + running_max))
-    head = _double(first, arr[1 : n - t])
+def _prefix_states(mags: np.ndarray, rows: int) -> np.ndarray:
+    """Prefix states of mags, partial sums then (rows == 2) running maxima;
+    state 0 is the all-minus vector, the last state the all-plus one."""
+    if mags.size == 0:
+        # No prefix sum yet: the maximum over none never reaches a cut.
+        return np.array([[0.0], [-np.inf]])[:rows]
+    return _double(np.array([[-mags[0], mags[0]]] * rows), mags[1:])
 
-    def extend(lo: int, hi: int):
-        return count_block(lo, hi, _double(head[:, lo >> t : hi >> t], arr[n - t :])[-1])
 
-    return _map_blocks(extend, 1 << n, 1, 1 << min(n, _TAIL))
+def _halves(arr: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix states of arr[:n // 2] and of arr[n // 2:]."""
+    h = arr.size // 2
+    return _prefix_states(arr[:h], rows), _prefix_states(arr[h:], rows)
+
+
+def _starts(base: np.ndarray, keys: np.ndarray, cut: float) -> np.ndarray:
+    """For each b in base, the first j with b + keys[j] >= cut.
+
+    keys is sorted ascending and ends in +inf, so a row without a hit gets
+    the count of finite keys.  fl(b + k) is nondecreasing in k, so a row's
+    hits form a suffix of keys: searchsorted on cut - b finds where it
+    starts up to the rounding of that difference, and rows where the
+    actual sums say otherwise are bisected on those sums.  The count is
+    therefore exactly count_nonzero(b + keys[:-1] >= cut) for every row.
+    """
+    start = np.searchsorted(keys, cut - base)
+    late = base + keys[start] < cut
+    early = (start > 0) & (base + keys[start - 1] >= cut)
+    bad = np.flatnonzero(late | early)
+    if bad.size:
+        # Keys closer together than the rounding of b + k (a second half
+        # far smaller than the first) can put the start several keys off.
+        b, after = base[bad], late[bad]
+        lo = np.where(after, start[bad] + 1, 0)
+        hi = np.where(after, keys.size - 1, start[bad] - 1)
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            hit = b + keys[mid] >= cut
+            lo, hi = np.where(hit, lo, mid + 1), np.where(hit, mid, hi)
+        start[bad] = lo
+    return start
 
 
 def exact_tail_multi(
@@ -198,11 +229,20 @@ def exact_tail_multi(
     _resolve_workers(workers)
     v = float(_beta_norm(arr, b))
     cuts = [tie_guarded(_check_x(x)) * v for x in xs]
-    total = 1 << arr.size
-    counts = sum(
-        _enumerate(arr, stat == RUNNING_MAX, lambda lo, hi, stats: _count_at(stats, cuts))
-    )
-    return [ExactTail(hits=int(c), total=total) for c in counts]
+    running_max = stat == RUNNING_MAX
+    # Pair (i, j) has statistic S1_i + S2_j, or max(M1_i, S1_i + M2_j).
+    # Normalized magnitudes are finite and at most 1, so no statistic is
+    # NaN and a sorted search counts what _count_at would.
+    first, second = _halves(arr, 1 + running_max)
+    keys = np.append(np.sort(second[-1]), np.inf)
+    partners = second.shape[1]
+    tails = []
+    for c in cuts:
+        start = _starts(first[0], keys, c)
+        if running_max:
+            start[first[1] >= c] = 0
+        tails.append(ExactTail(hits=int((partners - start).sum()), total=1 << arr.size))
+    return tails
 
 
 def exact_tail(
@@ -235,12 +275,15 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
 
     Every sign vector with sample deviation zero (all coordinates equal,
     where T_n is undefined) is excluded from the event and tallied in
-    degenerate.  The remaining vectors are classified twice: directly from
-    T_n >= x and through the equivalent self-normalized event
-    S_n >= tstat_threshold(n, x) * V_n(2).  The two classifications must
-    match vector for vector; a mismatch aborts rather than returning a
-    number that depends on the route taken.  workers is checked as in
-    exact_tail and otherwise unused: enumeration runs in one thread.
+    degenerate.  The remaining vectors are counted through the equivalent
+    self-normalized event S_n >= tstat_threshold(n, x) * V_n(2).  For fixed
+    magnitudes T_n rises strictly with S_n, so the direct route T_n >= x
+    is evaluated where the count can change: on each first-half state's
+    last miss and first hit in the sorted second half, and on the
+    all-minus and all-plus vectors.  The two routes must agree on every
+    vector evaluated; a mismatch aborts rather than returning a number
+    that depends on the route taken.  workers is checked as in exact_tail
+    and otherwise unused: enumeration runs in one thread.
     """
     arr = _check_magnitudes(mags)
     n = _check_n(int(arr.size), minimum=2)
@@ -251,8 +294,8 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     cut_sum = tie_guarded(tau) * float(_beta_norm(arr, 2.0))
     total = 1 << n
     square_sum = float((arr * arr).sum())
-    # Only the all-minus (first in the first block) and all-plus (last in
-    # the last) vectors can be constant, and only with equal magnitudes.
+    # Only the all-minus (state 0 of both halves) and all-plus (the last
+    # state of both) vectors can be constant, and only with equal magnitudes.
     # They are also the only vectors whose deviation can cancel in
     # sum(a^2) - S_n^2 / n: any other has two coordinates of opposite sign
     # (or a zero), so its ss is at least sum(a^2) / 2n.  Their t therefore
@@ -261,20 +304,34 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     mean = arr.mean()
     t_plus = _t_value(n, mean, ((arr - mean) ** 2).sum())
 
-    def count_block(lo: int, hi: int, sums: np.ndarray) -> np.ndarray:
-        direct = _t_value(n, sums / n, square_sum - sums * sums / n) >= cut_t
-        ident = sums >= cut_sum
-        for i, edge, t in ((0, lo == 0, -t_plus), (-1, hi == total, t_plus)):
-            if edge:
-                direct[i] = not constant and t >= cut_t
-                ident[i] &= not constant
-        return np.array([np.count_nonzero(direct), np.count_nonzero(direct != ident)])
-
-    hits, disagree = sum(_enumerate(arr, False, count_block))
+    (sums1,), (sums2,) = _halves(arr, 1)
+    order = np.argsort(sums2)
+    keys = np.append(sums2[order], np.inf)
+    start = _starts(sums1, keys, cut_sum)
+    hits = int((sums2.size - start).sum())
+    # t rises strictly with S_n, so the routes can only part where a row's
+    # hits begin: check each row's last miss and first hit, then the
+    # all-minus and all-plus vectors (row 0 and the last row) once each.
+    last = sums1.size - 1
+    minus, plus = (np.flatnonzero(order == k)[0] for k in (0, order.size - 1))
+    has_miss, has_hit = start > 0, start < sums2.size
+    i = np.concatenate([np.flatnonzero(has_miss), np.flatnonzero(has_hit)])
+    j = np.concatenate([start[has_miss] - 1, start[has_hit]])
+    inner = ~(((i == 0) & (j == minus)) | ((i == last) & (j == plus)))
+    i = np.append(i[inner], [0, last])
+    j = np.append(j[inner], [minus, plus])
+    sums = sums1[i] + keys[j]
+    direct = _t_value(n, sums / n, square_sum - sums * sums / n) >= cut_t
+    ident = sums >= cut_sum
+    direct[-2:] = [not constant and t >= cut_t for t in (-t_plus, t_plus)]
+    ident[-2:] &= not constant
+    disagree = np.count_nonzero(direct != ident)
+    if constant:
+        hits -= int(np.count_nonzero(sums[-2:] >= cut_sum))
     degenerate = 2 if constant else 0
     if disagree:
         raise RuntimeError(
             f"t-statistic event and its self-normalized form disagree on "
             f"{disagree} of {total} sign vectors"
         )
-    return ExactTail(hits=int(hits), total=total, degenerate=degenerate)
+    return ExactTail(hits=hits, total=total, degenerate=degenerate)

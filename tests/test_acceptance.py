@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from selfnorm import bounds
 from selfnorm import (
     FINAL_SUM,
     RUNNING_MAX,
@@ -33,7 +34,6 @@ from selfnorm import (
     lambda_star,
     threshold_from_s,
 )
-
 BETAS_ENDPOINT = (1.1, 1.5, 2.0, 3.0)
 S_TENTHS = tuple(k / 10.0 for k in range(1, 11))
 
@@ -69,21 +69,21 @@ def test_02_endpoint_tightness_bound_attained():
 
 
 def test_03_numeric_optimizer_matches_closed_form():
+    cells = [
+        (n, beta, threshold_from_s(n, beta, s))
+        for n in range(1, 65)
+        for beta in (1.1, 1.5, 2.0, 3.0, 10.0)
+        for s in (0.01, 0.1, 0.5, 0.9, 0.99)
+    ]
+    # One batched search; each cell's result equals bernstein_numeric's.
+    found, log_objective, _ = bounds._bernstein_search(cells)
     worst_value = worst_lambda = 0.0
-    for n in range(1, 65):
-        for beta in (1.1, 1.5, 2.0, 3.0, 10.0):
-            for s in (0.01, 0.1, 0.5, 0.9, 0.99):
-                x = threshold_from_s(n, beta, s)
-                result = bernstein_numeric(n, beta, x)
-                closed = bound_bn(n, beta, x).value
-                worst_value = max(
-                    worst_value, abs(result.objective_value - closed) / closed
-                )
-                worst_lambda = max(
-                    worst_lambda,
-                    abs(result.lambda_star - lambda_star(n, beta, x))
-                    / lambda_star(n, beta, x),
-                )
+    for (n, beta, x), lam, log_value in zip(cells, found, log_objective):
+        closed = bound_bn(n, beta, x).value
+        worst_value = max(worst_value, abs(math.exp(log_value) - closed) / closed)
+        worst_lambda = max(
+            worst_lambda, abs(lam - lambda_star(n, beta, x)) / lambda_star(n, beta, x)
+        )
     spot = bernstein_numeric(4, 2.0, 1.0)
     assert spot.objective_value == pytest.approx(16.0 / 27.0, rel=1e-9)
     assert spot.lambda_star == pytest.approx(math.log(3.0), rel=1e-6)

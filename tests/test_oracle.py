@@ -3,8 +3,8 @@
 Hand-countable cells are frozen as integers; larger cells are checked
 against independent references (a pure-Python enumeration over
 itertools.product, a sign matrix reduced row by row, and closed-form
-counts for unit magnitudes) so the prefix-doubling kernel never verifies
-itself.
+counts for unit magnitudes) so the meet-in-the-middle count never
+verifies itself.
 """
 
 import itertools
@@ -65,13 +65,28 @@ def sign_matrix_stats(mags, stat):
     """Reference statistics: one row per sign vector, cumulative sums.
 
     Row i has sign + at coordinate j when bit j of i is set.  The final sum
-    is the last cumulative sum, the kernel's sequential summation order.
+    is the last cumulative sum, in sequential summation order.  Rows are
+    built 2^14 at a time so that n = 20 stays small in memory.
     """
     n = len(mags)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    prefix = np.cumsum((bits * 2.0 - 1.0) * np.asarray(mags, dtype=float), axis=1)
-    return prefix.max(axis=1) if stat == RUNNING_MAX else prefix[:, -1]
+    out = np.empty(1 << n)
+    for lo in range(0, 1 << n, 1 << 14):
+        idx = np.arange(lo, min(lo + (1 << 14), 1 << n), dtype=np.uint64)
+        bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        prefix = np.cumsum((bits * 2.0 - 1.0) * np.asarray(mags, dtype=float), axis=1)
+        out[lo : lo + idx.size] = prefix.max(axis=1) if stat == RUNNING_MAX else prefix[:, -1]
+    return out
+
+
+def pair_stats(mags, stat):
+    """The statistic of every sign vector as the oracle forms it from the two
+    halves' prefix states, indexed like sign_matrix_stats."""
+    first, second = oracle._halves(np.asarray(mags, dtype=float), 1 + (stat == RUNNING_MAX))
+    pairs = first[0][:, None] + second[-1][None, :]
+    if stat == RUNNING_MAX:
+        pairs = np.maximum(first[1][:, None], pairs)
+    # First-half coordinates are the low bits of the sign-vector index.
+    return pairs.T.ravel()
 
 
 def binomial_tail(n, m):
@@ -101,7 +116,7 @@ class TestExactTail:
     @pytest.mark.parametrize("mags,beta,x,stat,hits", HAND_COUNTS)
     def test_hand_counts(self, mags, beta, x, stat, hits):
         tail = exact_tail(mags, beta, x, stat)
-        assert tail.hits == hits
+        assert tail.hits == hits and type(tail.hits) is int
         assert tail.total == 2 ** len(mags)
         assert tail.degenerate == 0
 
@@ -163,7 +178,7 @@ class TestExactTail:
             assert run.hits >= fin.hits
 
     def test_worker_count_never_changes_counts(self):
-        mags = [1.0] * 17  # two enumeration blocks
+        mags = [1.0] * 17
         x = 0.45 * math.sqrt(17.0)
         baseline = exact_tail(mags, 2.0, x, RUNNING_MAX, workers=1)
         for workers in (2, 5):
@@ -182,6 +197,7 @@ class TestExactTstatTail:
     @pytest.mark.parametrize("mags,x,hits,degenerate", FROZEN)
     def test_frozen_counts(self, mags, x, hits, degenerate):
         tail = exact_tstat_tail(mags, x)
+        assert type(tail.hits) is int
         assert (tail.hits, tail.total, tail.degenerate) == (
             hits,
             2 ** len(mags),
@@ -248,15 +264,58 @@ class TestKernelCrossCheck:
     @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 16, 17])
     def test_statistics_bit_identical_to_cumulative_sums(self, stat, n):
+        # Each half's prefix states, built by _double, are that half's
+        # cumulative sums and running maxima bit for bit, in index order.
         mags = _drawn_magnitudes(np.random.default_rng(n), n)
-        blocks = oracle._enumerate(mags, stat == RUNNING_MAX, lambda lo, hi, v: v.copy())
-        kernel = np.sort(np.concatenate(blocks))
-        assert np.array_equal(kernel, np.sort(sign_matrix_stats(mags, stat)))
+        rows = 1 + (stat == RUNNING_MAX)
+        for states, half in zip(oracle._halves(mags, rows), np.split(mags, [n // 2])):
+            if half.size == 0:
+                assert np.array_equal(states, [[0.0], [-np.inf]][:rows])
+                continue
+            expected = [sign_matrix_stats(half, FINAL_SUM), sign_matrix_stats(half, RUNNING_MAX)]
+            assert np.array_equal(states, expected[:rows])
+
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_pair_statistics_count_exactly(self, stat):
+        # Hits equal an elementwise count over the materialized pair
+        # statistics, which lie within rounding of the sequential sums.
+        rng = np.random.default_rng(2027)
+        for n in range(1, 21):
+            mags = _drawn_magnitudes(rng, n)
+            beta = float(rng.choice([1.5, 2.0, 3.0]))
+            v = v_norm(mags, beta)
+            pairs = pair_stats(mags, stat)
+            ref = sign_matrix_stats(mags, stat)
+            assert np.all(np.abs(pairs - ref) <= n * np.finfo(float).eps * np.abs(ref).max())
+            xs = [0.7, 0.05, 1.3] + [float(a) / v for a in rng.choice(pairs[pairs > 0], 3)]
+            cuts = [tie_guarded(x) * v for x in xs]
+            tails = exact_tail_multi(mags, beta, xs, stat)
+            assert [t.hits for t in tails] == oracle._count_at(pairs, cuts).tolist()
+
+    def test_suffix_starts_match_elementwise_counts(self):
+        rng = np.random.default_rng(2028)
+        cases = [
+            (rng.uniform(-3.0, 3.0, 300), rng.uniform(-3.0, 3.0, 500)),
+            # Keys far below the rounding of base + key: searchsorted on
+            # cut - base lands many keys away from where the hits start.
+            (rng.uniform(0.5, 2.0, 300), rng.uniform(-1e-15, 1e-15, 500)),
+        ]
+        guess_off = 0
+        for base, keys in cases:
+            keys = np.append(np.sort(keys), np.inf)
+            sums = base[:, None] + keys[None, :-1]
+            for cut in rng.choice(sums.ravel(), 20):
+                expected = np.count_nonzero(sums >= cut, axis=1)
+                assert np.array_equal(keys.size - 1 - oracle._starts(base, keys, cut), expected)
+                guess = keys.size - 1 - np.searchsorted(keys, cut - base)
+                guess_off = max(guess_off, np.abs(guess - expected).max())
+        # A fix-up of one key either way would not have been enough.
+        assert guess_off > 1
 
     @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
     def test_float_magnitudes_match_sign_matrix(self, stat):
         rng = np.random.default_rng(2024)
-        for n in list(range(1, 15)) * 3:
+        for n in list(range(1, 21)) * 3:
             mags = _drawn_magnitudes(rng, n)
             beta = float(rng.choice([1.5, 2.0, 3.0]))
             v = v_norm(mags, beta)
@@ -316,7 +375,7 @@ class TestKernelCrossCheck:
             assert exact_tail_multi(mags, 2.0, xs, stat, workers=2) == one
         assert exact_tstat_tail(mags, 1.2, workers=2) == exact_tstat_tail(mags, 1.2, workers=1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 16, 17, 21, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 16, 17, 21, 24, 25, 30])
     def test_unit_magnitudes_match_closed_forms(self, n):
         beta = 2.0 if n % 2 else 1.5
         xs = [threshold_from_s(n, beta, s) for s in (0.95, 0.1, 0.45, 0.7, 1.0)]
@@ -328,7 +387,7 @@ class TestKernelCrossCheck:
 
 
 class TestBoundedMemory:
-    # One block holds 2^16 sign vectors whatever n is; the ceiling is fixed.
+    # Each half holds at most 2^15 states up to the budget; the ceiling is fixed.
     CEILING = 8 << 20
 
     @pytest.mark.parametrize(
@@ -337,8 +396,11 @@ class TestBoundedMemory:
             lambda: exact_tail([1.0] * 24, 2.0, 2.0, RUNNING_MAX, workers=1),
             lambda: exact_tail([1.0] * 24, 2.0, 2.0, FINAL_SUM, workers=1),
             lambda: exact_tstat_tail([1.0] * 24, 1.0, workers=1),
+            lambda: exact_tail([1.0] * 30, 2.0, 2.0, RUNNING_MAX, workers=1),
+            lambda: exact_tail([1.0] * 30, 2.0, 2.0, FINAL_SUM, workers=1),
+            lambda: exact_tstat_tail([1.0] * 30, 1.0, workers=1),
         ],
-        ids=["running_max", "final_sum", "tstat"],
+        ids=["running_max", "final_sum", "tstat", "running_max-n30", "final_sum-n30", "tstat-n30"],
     )
     def test_peak_allocation_at_n24(self, call):
         tracemalloc.start()
@@ -373,7 +435,7 @@ class TestValidation:
         exact_tstat_tail([1.0] * 18, 1.0, workers=2)
 
     def test_accepts_multi_block_sizes(self):
-        # n = 18 spans several enumeration blocks without blowing the runtime.
+        # n = 18 pairs two halves of 2^9 states without blowing the runtime.
         tail = exact_tail([1.0] * 18, 2.0, math.sqrt(18.0), RUNNING_MAX)
         assert tail.hits == 1
 
