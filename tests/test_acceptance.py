@@ -34,6 +34,7 @@ from selfnorm import (
     lambda_star,
     threshold_from_s,
 )
+
 BETAS_ENDPOINT = (1.1, 1.5, 2.0, 3.0)
 S_TENTHS = tuple(k / 10.0 for k in range(1, 11))
 
