@@ -131,7 +131,9 @@ def v_norm(xs, beta: float) -> float:
 def _beta_norm(values: np.ndarray, b: float):
     """Unchecked V_n(b) over the last axis, of a vector or of each row of a block;
     the root runs on an array, as numpy scalar ** uses libm pow (last bit differs)."""
-    return np.asarray((np.abs(values) ** b).sum(axis=-1)) ** (1.0 / b)
+    powers = np.abs(values)
+    powers **= b  # in place; numpy squares for b = 2 instead of calling pow
+    return np.asarray(powers.sum(axis=-1)) ** (1.0 / b)
 
 
 def log_cosh(u: float | np.ndarray) -> float | np.ndarray:

@@ -36,7 +36,6 @@ normalized magnitudes sum exactly either way.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,21 +136,6 @@ def _resolve_workers(workers: int | None) -> int:
     elif workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
-
-
-def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
-    """Apply count_block over contiguous index ranges of at most block
-    indices each, threaded when asked.
-
-    Per-range results are pure functions of the range, and the caller
-    combines them by integer addition, so the outcome is identical for any
-    worker count.
-    """
-    ranges = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-    if workers == 1 or len(ranges) == 1:
-        return [count_block(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: count_block(*r), ranges))
 
 
 def _double(states: np.ndarray, mags: np.ndarray) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 Every distribution here is symmetric about 0 by construction: each
 coordinate draws a magnitude and, independently, a fair sign.  Trials live
-on a counter-based generator (Philox) at a fixed stride of uniforms per
-trial, so trial i consumes the same draws no matter how the trial range is
-partitioned across workers; hit counts are therefore identical for any
-worker count.
+on a counter-based generator (Philox) at a fixed stride of raw 64-bit words
+per trial, so trial i consumes the same words no matter how the trial range
+is partitioned across workers; hit counts are therefore identical for any
+worker count.  A coordinate's magnitude uniform is its word's top 53 bits
+on a 2^-53 grid (numpy's Generator.random), and its sign is the top bit
+of a second word: the sign uniform is below 1/2 exactly when that bit is
+0.  A block's values are transformed in place in one contiguous array.
 
 Event membership uses the same 1e-9 relative threshold guard as the exact
 enumeration module, so sampled and enumerated counts classify discrete
@@ -15,6 +18,7 @@ atoms identically.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from scipy.special import ndtri
 from .bounds import BoundEvaluation, bound_bn, bound_tstat, tstat_threshold
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
 from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
-from .oracle import _count_at, _magnitude_array, _map_blocks, _resolve_workers
+from .oracle import _count_at, _magnitude_array, _resolve_workers
 
 __all__ = [
     "TSTAT",
@@ -52,6 +56,7 @@ _TRIAL_BLOCK = 1 << 15
 _U64 = (1 << 64) - 1
 # Half the uniform grid spacing; added to map [0, 1) draws into (0, 1).
 _HALF_ULP = 2.0**-54
+_SIGN_BIT = np.uint64(1 << 63)
 
 _KINDS = (
     "rademacher",
@@ -209,16 +214,31 @@ def _check_seed(seed: int) -> int:
 
 
 def _doubles_per_trial(n: int) -> int:
-    # n magnitude uniforms + n sign uniforms, padded to the 4-per-counter
+    # n magnitude words + n sign words, padded to the 4-per-counter
     # granularity Philox advances in.
     return ((2 * n + 3) // 4) * 4
 
 
 def _trial_block(n: int) -> int:
     # Trials per block: 2^15 up to n = 20; beyond, as many as fit in n = 20's
-    # 10 MB of uniforms, so block memory stays bounded whatever n is.
+    # 10 MB of words, so block memory stays bounded whatever n is.
     rows = _TRIAL_BLOCK * _doubles_per_trial(20) // _doubles_per_trial(n)
     return max(1, min(_TRIAL_BLOCK, rows))
+
+
+def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
+    """Apply count_block over contiguous index ranges of at most block
+    indices each, threaded when asked.
+
+    Per-range results are pure functions of the range, and the caller
+    combines them by integer addition, so the outcome is identical for any
+    worker count.
+    """
+    ranges = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    if workers == 1 or len(ranges) == 1:
+        return [count_block(lo, hi) for lo, hi in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: count_block(*r), ranges))
 
 
 def trial_stream(seed: int, n: int, trial_index: int) -> Generator:
@@ -229,36 +249,51 @@ def trial_stream(seed: int, n: int, trial_index: int) -> Generator:
     return Generator(bit_gen)
 
 
-def _transform(spec: DistributionSpec, u_mag: np.ndarray, u_sign: np.ndarray) -> np.ndarray:
-    """Map magnitude/sign uniforms to sample values, elementwise."""
-    sign = np.where(u_sign < 0.5, 1.0, -1.0)
+def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
+    """Turn each row of a uint64 block of raw words into n sample values.
+
+    Columns [0, n) of a row feed the magnitudes and columns [n, 2n) the
+    signs; both are used as scratch.  The values go to one new contiguous
+    (rows, n) array, transformed in place there.
+    """
+    bits, sign_bits = words[:, :n], words[:, n : 2 * n]
+    # The sign uniform is < 0.5 exactly when its word's top bit is 0; keep
+    # only that bit.
+    np.bitwise_and(sign_bits, _SIGN_BIT, out=sign_bits)
     kind = spec.kind
-    if kind == "rademacher":
-        return sign
-    if kind == "two_point":
-        return sign * spec.a
-    if kind == "uniform_symmetric":
-        return sign * u_mag
-    if kind == "gaussian":
-        # |N(0,1)| through the half-normal quantile; the half-ulp shift keeps
-        # the argument inside (0.5, 1).
-        return sign * ndtri(0.5 + 0.5 * (u_mag + _HALF_ULP))
-    if kind == "symmetric_pareto":
-        return sign * (u_mag + _HALF_ULP) ** (-1.0 / spec.tail_index)
-    mags = np.asarray(spec.magnitudes, dtype=float)
-    return sign * np.broadcast_to(mags, u_mag.shape)
+    if kind in ("uniform_symmetric", "gaussian", "symmetric_pareto"):
+        # numpy's next_double: the top 53 bits on the 2^-53 grid of [0, 1).
+        np.right_shift(bits, 11, out=bits)
+        vals = bits * 2.0**-53
+        if kind == "gaussian":
+            # |N(0,1)| through the half-normal quantile; the half-ulp shift
+            # keeps the argument inside (0.5, 1).
+            vals += _HALF_ULP
+            vals *= 0.5
+            vals += 0.5
+            ndtri(vals, out=vals)
+        elif kind == "symmetric_pareto":
+            vals += _HALF_ULP
+            vals **= -1.0 / spec.tail_index
+    else:
+        vals = np.empty(bits.shape)
+        vals[...] = spec.exact_magnitudes(n)
+    # XOR flips the value's sign bit where the sign word's is 1, as
+    # -1.0 * magnitude does (for -0.0 and inf too; magnitudes are never NaN).
+    val_bits = vals.view(np.uint64)
+    np.bitwise_xor(val_bits, sign_bits, out=val_bits)
+    return vals
 
 
 def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarray:
-    """Draw one length-n sample, consuming exactly 2n uniforms.
+    """Draw one length-n sample, consuming exactly 2n raw words.
 
     With stream = trial_stream(seed, n, i) this reproduces row i of any
     blocked estimation run with the same seed.
     """
     n = _check_n(n)
     spec.check_length(n)
-    u = stream.random(2 * n)
-    return _transform(spec, u[:n], u[n:])
+    return _transform(spec, stream.bit_generator.random_raw((1, 2 * n)), n)[0]
 
 
 def _statistic(vals: np.ndarray, stat: str, b: float):
@@ -267,7 +302,9 @@ def _statistic(vals: np.ndarray, stat: str, b: float):
     if stat == TSTAT:
         degenerate = (vals == vals[:, :1]).all(axis=1)
         means = vals.mean(axis=1)
-        ss = ((vals - means[:, None]) ** 2).sum(axis=1)
+        dev = vals - means[:, None]
+        dev **= 2
+        ss = dev.sum(axis=1)
         return degenerate, _t_value(vals.shape[1], means, ss)
     v = _beta_norm(vals, b)
     degenerate = v == 0.0
@@ -277,8 +314,8 @@ def _statistic(vals: np.ndarray, stat: str, b: float):
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     spec.check_length(n)
-    u = trial_stream(seed, n, lo).random((hi - lo, _doubles_per_trial(n)))
-    return _transform(spec, u[:, :n], u[:, n : 2 * n])
+    words = trial_stream(seed, n, lo).bit_generator.random_raw((hi - lo, _doubles_per_trial(n)))
+    return _transform(spec, words, n)
 
 
 def estimate_tail_multi(

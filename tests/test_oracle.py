@@ -10,6 +10,7 @@ verifies itself.
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -425,11 +426,12 @@ class TestValidation:
             exact_tail([1.0] * 3, 2.0, 1.0)
 
     def test_sum_statistics_enumerate_in_one_thread(self, monkeypatch):
-        # Every statistic enumerates in one thread, whatever workers says.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
+        # Every statistic enumerates in one thread, whatever workers says:
+        # no thread of any kind may start.
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
 
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for stat in (RUNNING_MAX, FINAL_SUM):
             exact_tail_multi([1.0] * 18, 2.0, [0.5, 1.0], stat, workers=2)
         exact_tstat_tail([1.0] * 18, 1.0, workers=2)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from selfnorm import (
     FINAL_SUM,
@@ -25,7 +26,17 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
-from selfnorm.simulate import Z99, TailEstimate, _bound_for, _trial_block, respects
+from selfnorm.simulate import (
+    STATS,
+    Z99,
+    TailEstimate,
+    _bound_for,
+    _doubles_per_trial,
+    _draw_values,
+    _statistic,
+    _trial_block,
+    respects,
+)
 
 
 class TestDistributionSpec:
@@ -146,6 +157,20 @@ class TestBlockMemory:
         assert est.hits == 649
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
+    def test_gaussian_block_transforms_in_place(self):
+        # One 327-trial block of 10 MB of raw words; the transform writes the
+        # values over them, so only the reduction's n-column temporaries add
+        # to it (a separate sign, uniform and value matrix peaked at 25 MB).
+        spec = DistributionSpec.gaussian()
+        tracemalloc.start()
+        try:
+            est = estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert est.hits == 629
+
 
 SPECS = [
     DistributionSpec.rademacher(),
@@ -187,6 +212,93 @@ class TestStreams:
             for i in range(8)
         }
         assert len(draws) == 8
+
+
+def reference_values(spec, n, seed, lo, hi):
+    """Rows lo..hi-1 from uniforms: Generator.random at the kernel's stride,
+    the first n of a row for magnitudes, the next n for signs."""
+    u = trial_stream(seed, n, lo).random((hi - lo, _doubles_per_trial(n)))
+    u_mag, u_sign = u[:, :n], u[:, n : 2 * n]
+    sign = np.where(u_sign < 0.5, 1, -1)
+    if spec.kind == "rademacher":
+        mag = 1.0
+    elif spec.kind == "two_point":
+        mag = spec.a
+    elif spec.kind == "uniform_symmetric":
+        mag = u_mag
+    elif spec.kind == "gaussian":
+        mag = ndtri(0.5 + 0.5 * (u_mag + 2.0**-54))
+    elif spec.kind == "symmetric_pareto":
+        mag = (u_mag + 2.0**-54) ** (-1.0 / spec.tail_index)
+    else:
+        mag = np.asarray(spec.magnitudes)
+    return sign * mag
+
+
+def signed_zero_law(n):
+    """A fixed law with +0.0 and -0.0 magnitudes (one positive entry)."""
+    mags = [(0.0, -0.0, 1.5)[i % 3] for i in range(n)]
+    mags[-1] = 2.0
+    return DistributionSpec.fixed(mags)
+
+
+# Laws of the bit-identity check by test id; None stands for signed_zero_law(n).
+BIT_LAWS = {
+    "rademacher": DistributionSpec.rademacher(),
+    "two_point": DistributionSpec.two_point(2.5),
+    "uniform": DistributionSpec.uniform(),
+    "gaussian": DistributionSpec.gaussian(),
+    "pareto1.2": DistributionSpec.pareto(1.2),
+    "pareto1": DistributionSpec.pareto(1.0),
+    "pareto0.01": DistributionSpec.pareto(0.01),
+    "signed_zeros": None,
+}
+
+
+class TestRawWordKernel:
+    """The block kernel reads raw Philox words; every value must equal the
+    uniform-based draw bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 1000])
+    @pytest.mark.parametrize("law", BIT_LAWS)
+    def test_values_bit_identical_to_uniform_draws(self, law, n):
+        spec = BIT_LAWS[law] or signed_zero_law(n)
+        seed = 8
+        for lo, hi in ((0, 5), (3, 400), (70_001, 70_009)):
+            with np.errstate(over="ignore"):
+                expected = reference_values(spec, n, seed, lo, hi)
+                block = _draw_values(spec, n, seed, lo, hi)
+            assert block.shape == expected.shape == (hi - lo, n)
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(block), nan)
+            assert np.array_equal(block.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
+            for i in (lo, hi - 1):
+                with np.errstate(over="ignore"):
+                    row = sample_vector(spec, n, trial_stream(seed, n, i))
+                assert np.array_equal(row.view(np.uint64), block[i - lo].view(np.uint64))
+
+    def test_cases_the_bit_check_must_see(self):
+        # The bit check above must see infinities and both signed zeros: a
+        # sign set by OR instead of XOR differs only on a -0.0 magnitude.
+        with np.errstate(over="ignore"):
+            block = _draw_values(DistributionSpec.pareto(0.01), 20, 8, 3, 400)
+        assert np.isinf(block).any()
+        block = _draw_values(signed_zero_law(20), 20, 8, 3, 40)
+        zeros = block[block == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_pareto_overflow_still_warns(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _draw_values(DistributionSpec.pareto(0.01), 20, 8, 3, 400)
+
+    @pytest.mark.parametrize("stat", STATS)
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_statistic_leaves_its_block_unchanged(self, stat, beta):
+        # efron_check reduces one block under two statistics.
+        vals = _draw_values(DistributionSpec.gaussian(), 9, 5, 2, 300)
+        before = vals.copy()
+        _statistic(vals, stat, beta)
+        assert np.array_equal(vals.view(np.uint64), before.view(np.uint64))
 
 
 class TestEstimateTail:
