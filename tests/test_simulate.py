@@ -158,9 +158,9 @@ class TestBlockMemory:
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
     def test_gaussian_block_transforms_in_place(self):
-        # One 327-trial block of 10 MB of raw words; the transform writes the
-        # values over them, so only the reduction's n-column temporaries add
-        # to it (a separate sign, uniform and value matrix peaked at 25 MB).
+        # One 327-trial block: 10 MB of raw words and one 5 MB values array,
+        # transformed in place; the words are freed before the reduction's
+        # temporaries (separate sign, uniform and value matrices took 25 MB).
         spec = DistributionSpec.gaussian()
         tracemalloc.start()
         try:
