@@ -18,25 +18,18 @@ kept, so two source trees can be recorded side by side:
 Each estimate record carries its hit count and each stage record a sha256
 of the arrays it returned, so the two trees can be checked for equal
 output as well as compared for speed: the script exits 1 when a hit count
-or a digest differs from the same record under another label.
+or a digest differs from the same record under another label.  The
+parser, the timing loop and the writer are shared in record.py.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 import warnings
-from pathlib import Path
 
-from oracle import _git_sha, _source_sha256
+import record
 
-ROOT = Path(__file__).resolve().parents[1]
 N, TRIALS = 20, 50_000
 BIG_N, BIG_TRIALS = 1000, 5_000
 SEED = 20160601
@@ -55,16 +48,6 @@ def _laws(sn) -> dict:
     }
 
 
-def _timed(call, min_seconds: float):
-    """Repeat call until min_seconds have passed; (fastest, median, calls, result)."""
-    times = []
-    while not times or sum(times) < min_seconds:
-        start = time.perf_counter()
-        result = call()
-        times.append(time.perf_counter() - start)
-    return min(times), statistics.median(times), len(times), result
-
-
 def _digest(*arrays) -> str:
     import numpy as np
 
@@ -77,7 +60,7 @@ def _digest(*arrays) -> str:
 def _estimate_record(sn, law: str, spec, n: int, stat: str, trials: int) -> dict:
     beta = 2.0 if stat == sn.TSTAT else 1.5
     x = 1.0 if stat == sn.TSTAT else sn.threshold_from_s(n, beta, 0.3 if n == N else 0.03)
-    best, median, calls, est = _timed(
+    best, median, calls, est = record.timed(
         lambda: sn.estimate_tail(spec, n, beta, x, stat, trials, SEED, workers=1), MIN_SECONDS
     )
     return {
@@ -94,7 +77,7 @@ def _estimate_record(sn, law: str, spec, n: int, stat: str, trials: int) -> dict
 
 
 def _stage_record(stage: str, law: str, n: int, rows: int, call) -> dict:
-    best, median, calls, out = _timed(call, MIN_SECONDS)
+    best, median, calls, out = record.timed(call, MIN_SECONDS)
     return {
         "stage": stage,
         "law": law,
@@ -131,15 +114,7 @@ def _key(rec: dict) -> tuple:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key the run is stored under")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="tree to import selfnorm from")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_montecarlo.json"))
-    args = parser.parse_args(argv)
-
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
+    args = record.parse_args(__doc__, "BENCH_montecarlo.json", argv)
     import selfnorm as sn
 
     laws = _laws(sn)
@@ -166,36 +141,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{rec['stat']:<22} {rec['law']:<11} n={rec['n']:<5} "
                 f"{rec['trials_per_s'] / 1e6:9.3f} M trials/s  hits={rec['hits']}"
             )
-
-    out = Path(args.out)
-    bench = json.loads(out.read_text()) if out.exists() else {}
-    bench.setdefault(
-        "unit", "trials/s (estimates) and s per block (stages), fastest call, one thread"
+    return record.write(
+        args,
+        "trials/s (estimates) and s per block (stages), fastest call, one thread",
+        records,
+        key=_key,
+        output=lambda rec: rec.get("hits", rec.get("digest")),
     )
-    bench.setdefault("runs", {})[args.label] = {
-        "git_sha": _git_sha(src),
-        "source_sha256": _source_sha256(src),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "records": records,
-    }
-    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-
-    def output(rec: dict):
-        return rec.get("hits", rec.get("digest"))
-
-    here = {_key(rec): output(rec) for rec in records}
-    mismatches = [
-        f"{' '.join(map(str, filter(None, _key(rec))))}: {here[_key(rec)]} here, "
-        f"{output(rec)} under {label}"
-        for label, run in bench["runs"].items()
-        for rec in run["records"]
-        if here.get(_key(rec), output(rec)) != output(rec)
-    ]
-    for line in mismatches:
-        print(f"output differs: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -13,49 +13,22 @@ so two source trees can be recorded side by side:
 
 Each record also carries the hit count, so the two trees can be checked
 for equal counts as well as compared for speed: the script exits 1 when
-a hit count differs from the same record under another label.
+a hit count differs from the same record under another label.  The
+parser, the timing loop and the writer are shared in record.py.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import record
+
 SIZES = (16, 20, 24)
 STATS = ("running_max", "final_sum", "tstat")
 # Each (stat, n) cell repeats its call for this long; BIG_N gets one call
 # per statistic.
 MIN_SECONDS = 1.0
 BIG_N = 30
-
-
-def _git_sha(src: Path) -> str:
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", "-C", str(src), *args], capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    try:
-        sha = git("rev-parse", "HEAD")
-        return sha + ("-dirty" if git("status", "--porcelain", "--", ".") else "")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def _source_sha256(src: Path) -> str:
-    digest = hashlib.sha256()
-    for path in sorted((src / "selfnorm").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
 
 
 def _call(sn, stat: str, n: int):
@@ -71,33 +44,20 @@ def _call(sn, stat: str, n: int):
 
 def _measure(sn, stat: str, n: int, min_seconds: float) -> dict:
     """Repeat the call until min_seconds have passed; rate from the fastest."""
-    times = []
-    while not times or sum(times) < min_seconds:
-        start = time.perf_counter()
-        hits = _call(sn, stat, n)
-        times.append(time.perf_counter() - start)
-    best = min(times)
+    best, median, calls, hits = record.timed(lambda: _call(sn, stat, n), min_seconds)
     return {
         "stat": stat,
         "n": n,
-        "calls": len(times),
+        "calls": calls,
         "best_s": best,
-        "median_s": statistics.median(times),
+        "median_s": median,
         "sign_vectors_per_s": (1 << n) / best,
         "hits": hits,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key the run is stored under")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="tree to import selfnorm from")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_oracle.json"))
-    args = parser.parse_args(argv)
-
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
+    args = record.parse_args(__doc__, "BENCH_oracle.json", argv)
     import selfnorm as sn
 
     records = [_measure(sn, stat, n, MIN_SECONDS) for n in SIZES for stat in STATS]
@@ -107,31 +67,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{rec['stat']:<12} n={rec['n']:<3} {rec['best_s']:10.4f} s "
             f"{rec['sign_vectors_per_s'] / 1e6:9.2f} M sign vectors/s  hits={rec['hits']}"
         )
-
-    out = Path(args.out)
-    bench = json.loads(out.read_text()) if out.exists() else {}
-    bench.setdefault("unit", "sign vectors/s, fastest call, one thread")
-    bench.setdefault("runs", {})[args.label] = {
-        "git_sha": _git_sha(src),
-        "source_sha256": _source_sha256(src),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "records": records,
-    }
-    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-
-    hits = {(rec["stat"], rec["n"]): rec["hits"] for rec in records}
-    mismatches = [
-        f"{rec['stat']} n={rec['n']}: hits {hits[rec['stat'], rec['n']]} here, "
-        f"{rec['hits']} under {label}"
-        for label, run in bench["runs"].items()
-        for rec in run["records"]
-        if hits.get((rec["stat"], rec["n"]), rec["hits"]) != rec["hits"]
-    ]
-    for line in mismatches:
-        print(f"hit count differs: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return record.write(
+        args,
+        "sign vectors/s, fastest call, one thread",
+        records,
+        key=lambda rec: (rec["stat"], rec["n"]),
+        output=lambda rec: rec["hits"],
+    )
 
 
 if __name__ == "__main__":

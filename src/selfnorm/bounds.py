@@ -12,7 +12,9 @@ This module evaluates B_n in log space through two independent routes
 (the literal product form and a binary-entropy form), the sub-Gaussian
 relaxation exp(-x^2 n^(2/beta-1) / 2), the exponential-moment problem
 whose infimum equals B_n for two-point laws, and the reduction of
-Student's t-statistic to a self-normalized sum.
+Student's t-statistic to a self-normalized sum.  The first three run on
+an array of thresholds of one (n, beta), unchecked, as a sweep row calls
+them; the public functions check their input and make one-entry calls.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _check_cell(n: int, beta: float, x: float) -> tuple[int, float, float]:
+    """n, beta and x of one bound evaluation, checked in that order."""
+    return _check_n(n), _check_beta(beta), _check_x(x)
+
+
 @dataclass(frozen=True)
 class BoundEvaluation:
     """One evaluation of B_n(beta, x).
@@ -107,8 +114,11 @@ class BernsteinResult:
 
 def endpoint_threshold(n: int, beta: float) -> float:
     """Largest attainable value n^((beta-1)/beta) of the statistic."""
-    n = _check_n(n)
-    b = _check_beta(beta)
+    return _endpoint(_check_n(n), _check_beta(beta))
+
+
+def _endpoint(n: int, b: float) -> float:
+    """Unchecked endpoint_threshold."""
     return float(n) ** ((b - 1.0) / b)
 
 
@@ -154,43 +164,39 @@ def log_cosh(u: float | np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def _entropy(s: float) -> float:
-    """H(s) = ((1+s)/2) log(1+s) + ((1-s)/2) log(1-s) on [0, 1].
+def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
+    """Unchecked s, log B_n and B_n at the thresholds x (an array) of one (n, b).
 
-    At s = 1 the (1-s) log(1-s) term carries its limit 0, so H(1) = log 2.
+    Below the endpoint the log is the product form or, with entropy, -n H(s),
+    computed on those cells only so that no other cell warns; s = 1 gives
+    exactly 2^-n, and s > 1 gives 0 with log -inf.  Powers of n stay Python
+    float powers: numpy's pow can differ from libm's in the last bit.
     """
-    if s == 1.0:
-        return _LN2
-    return 0.5 * (1.0 + s) * math.log1p(s) + 0.5 * (1.0 - s) * math.log1p(-s)
+    s = x / _endpoint(n, b)
+    # The endpoint is attained only by the all-plus sign configuration.
+    log_value = np.where(s == 1.0, -n * _LN2, -math.inf)
+    below = s < 1.0
+    u = s[below]
+    if entropy:
+        # H(s) = ((1+s)/2) log(1+s) + ((1-s)/2) log(1-s), the binary entropy term.
+        log_value[below] = -n * (0.5 * (1.0 + u) * np.log1p(u) + 0.5 * (1.0 - u) * np.log1p(-u))
+    else:
+        # 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2), term by term in logs.
+        t = (1.0 + u) / (1.0 - u)
+        rt = np.sqrt(t)
+        log_value[below] = (-n * _LN2 + n * np.log(rt + 1.0 / rt)
+                            - 0.5 * float(n) ** (1.0 / b) * x[below] * np.log(t))
+    value = np.exp(log_value)
+    value[s == 1.0] = 2.0 ** (-n)
+    return s, log_value, value
 
 
-def _evaluate(n: int, beta: float, x: float, log_interior) -> BoundEvaluation:
-    n = _check_n(n)
-    b = _check_beta(beta)
-    x = _check_x(x)
-    s = x / endpoint_threshold(n, b)
-    if s > 1.0:
-        return BoundEvaluation(n, x, s, math.inf, -math.inf, 0.0, IMPOSSIBLE)
-    if s == 1.0:
-        # Attained only by the all-plus sign configuration: exactly 2^-n.
-        return BoundEvaluation(n, x, s, math.inf, -n * _LN2, 2.0 ** (-n), ENDPOINT)
-    t = (1.0 + s) / (1.0 - s)
-    log_value = log_interior(n, b, x, s, t)
-    return BoundEvaluation(n, x, s, t, log_value, math.exp(log_value), INTERIOR)
-
-
-def _log_bn_product(n: int, b: float, x: float, s: float, t: float) -> float:
-    # 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2), term by term in logs.
-    rt = math.sqrt(t)
-    return (
-        -n * _LN2
-        + n * math.log(rt + 1.0 / rt)
-        - 0.5 * float(n) ** (1.0 / b) * x * math.log(t)
-    )
-
-
-def _log_bn_entropy(n: int, b: float, x: float, s: float, t: float) -> float:
-    return -n * _entropy(s)
+def _evaluate(n: int, beta: float, x: float, entropy: bool) -> BoundEvaluation:
+    n, b, x = _check_cell(n, beta, x)
+    (s,), (log_value,), (value,) = _bn_cells(n, b, np.array([x]), entropy)
+    regime = INTERIOR if s < 1.0 else ENDPOINT if s == 1.0 else IMPOSSIBLE
+    t = (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
+    return BoundEvaluation(n, x, float(s), float(t), float(log_value), float(value), regime)
 
 
 def bound_bn(n: int, beta: float, x: float) -> BoundEvaluation:
@@ -208,7 +214,7 @@ def bound_bn(n: int, beta: float, x: float) -> BoundEvaluation:
         beta: variation exponent > 1.
         x: threshold, finite real > 0.
     """
-    return _evaluate(n, beta, x, _log_bn_product)
+    return _evaluate(n, beta, x, entropy=False)
 
 
 def bound_bn_entropy_form(n: int, beta: float, x: float) -> BoundEvaluation:
@@ -217,12 +223,13 @@ def bound_bn_entropy_form(n: int, beta: float, x: float) -> BoundEvaluation:
     Algebraically identical to bound_bn; kept as an independent numeric
     route so the two implementations can cross-check each other.
     """
-    return _evaluate(n, beta, x, _log_bn_entropy)
+    return _evaluate(n, beta, x, entropy=True)
 
 
-def _corollary_exponent(n: int, b: float, x: float) -> float:
-    """q = x^2 n^(2/beta - 1) / 2, so that bound_corollary = min(1, exp(-q))."""
-    return 0.5 * x * x * float(n) ** (2.0 / b - 1.0)
+def _corollary_log(n: int, b: float, x):
+    """Unchecked log -x^2 n^(2/beta - 1) / 2 of bound_corollary, at a float or an
+    array of thresholds x of one checked (n, b)."""
+    return -0.5 * x * x * float(n) ** (2.0 / b - 1.0)
 
 
 def bound_corollary(n: int, beta: float, x: float) -> float:
@@ -231,10 +238,8 @@ def bound_corollary(n: int, beta: float, x: float) -> float:
     Derived for beta in (1, 2]; larger beta still evaluates (see
     corollary_is_extrapolated) and still dominates bound_bn.
     """
-    n = _check_n(n)
-    b = _check_beta(beta)
-    x = _check_x(x)
-    return min(1.0, math.exp(-_corollary_exponent(n, b, x)))
+    n, b, x = _check_cell(n, beta, x)
+    return float(np.exp(_corollary_log(n, b, np.array([x])))[0])
 
 
 def corollary_is_extrapolated(beta: float) -> bool:
@@ -285,9 +290,7 @@ def lambda_star(n: int, beta: float, x: float) -> float:
     lambda*(x) = (n^(1/beta) / 2) log((n^((beta-1)/beta) + x) /
     (n^((beta-1)/beta) - x)); +inf at and beyond the endpoint.
     """
-    n = _check_n(n)
-    b = _check_beta(beta)
-    x = _check_x(x)
+    n, b, x = _check_cell(n, beta, x)
     nb = endpoint_threshold(n, b)
     if x >= nb:
         return math.inf
@@ -313,19 +316,26 @@ def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
         x: threshold with 0 < x < n^((beta-1)/beta); the endpoint and the
             impossible regime are rejected (the closed form covers those).
     """
-    lam, log_objective, iterations = _bernstein_search([(n, beta, x)])
+    n, b, x = _check_cell(n, beta, x)
+    s = x / _endpoint(n, b)
+    if s >= 1.0:
+        raise ValueError(
+            "numeric minimization needs x strictly below the endpoint "
+            f"n^((beta-1)/beta); got scaled threshold s = {s}"
+        )
+    lam, log_objective, iterations = _bernstein_search(*np.array([[n, n ** (1.0 / b), x, s]]).T)
     return BernsteinResult(
         float(lam[0]), math.exp(log_objective[0]), int(iterations[0]), float(log_objective[0])
     )
 
 
-def _bernstein_search(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """bernstein_numeric for each (n, beta, x) cell, in one vectorized search.
+def _bernstein_search(n, n1b, x, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bernstein_numeric for many cells, in one vectorized search.
 
-    cells may be any iterable; it is read once, straight into arrays, so a
-    large sweep holds no per-cell Python objects.  Returns the minimizers,
-    the minima f(lambda_star) and the iteration counts, one entry per cell;
-    objective_value is math.exp of the minimum.
+    Cell i has n[i] summands, n1b[i] = n[i]^(1/beta), threshold x[i] and
+    s[i] = x[i] / n[i]^((beta-1)/beta) < 1, all checked by the caller.
+    Returns the minimizers, the minima f(lambda_star) and the iteration
+    counts; objective_value is math.exp of the minimum.
 
     Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
     is strictly convex: a doubling search brackets each minimum (the
@@ -334,22 +344,6 @@ def _bernstein_search(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in its own array entry and stops moving once its bracket is narrow
     enough, so its result does not depend on the other cells.
     """
-
-    def checked():
-        for n, beta, x in cells:
-            n = _check_n(n)
-            b = _check_beta(beta)
-            x = _check_x(x)
-            s = x / endpoint_threshold(n, b)
-            if s >= 1.0:
-                raise ValueError(
-                    "numeric minimization needs x strictly below the endpoint "
-                    f"n^((beta-1)/beta); got scaled threshold s = {s}"
-                )
-            yield float(n), float(n) ** (1.0 / b), x, s
-
-    n, n1b, x, s = np.fromiter(checked(), dtype=(float, 4)).T.copy()
-
     # Bracket: f'(lam) > 0 once tanh(lam / n^(1/beta)) > s, which a doubling
     # search reaches because s < 1.
     hi = n1b.copy()

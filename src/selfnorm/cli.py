@@ -17,7 +17,7 @@ import numpy as np
 from . import report
 from . import verify as verify_mod
 from .bounds import (
-    _corollary_exponent,
+    _corollary_log,
     _rescaled_x,
     _two_sided,
     alpha_in_mdp_window,
@@ -133,7 +133,7 @@ def _bound_record(args) -> list[tuple[str, object]]:
     pairs += [("s", evaluation.s), ("regime", evaluation.regime)]
     if args.kind == "corollary":
         return pairs + [
-            ("log_value", min(0.0, -_corollary_exponent(n, beta, x))),
+            ("log_value", min(0.0, _corollary_log(n, beta, x))),
             ("value", bound_corollary(n, beta, x)),
             ("extrapolated", corollary_is_extrapolated(beta)),
         ]

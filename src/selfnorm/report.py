@@ -10,26 +10,32 @@ or a JSON array of flat records with the same keys.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import (
-    INTERIOR,
     _bernstein_search,
+    _bn_cells,
+    _check_beta,
     _check_n,
+    _corollary_log,
+    _endpoint,
     bound_bn,
     bound_corollary,
     bernstein_numeric,
-    threshold_from_s,
 )
 from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_multi
 from .oracle import _resolve_workers
 from .simulate import DistributionSpec, _check_seed, estimate_tail, estimate_tail_multi
 
-# run_sweep calls only the multi-threshold forms and the batched search;
-# exact_tail, estimate_tail and bernstein_numeric stay importable from here
-# because bench/tracing.py wraps this module's names.
+# run_sweep calls only the multi-threshold forms and the array evaluators;
+# exact_tail, estimate_tail, bound_bn, bound_corollary and bernstein_numeric
+# stay importable from here because bench/tracing.py wraps this module's
+# names (a traced sweep therefore books no bound evaluation).
 
 __all__ = ["COLUMNS", "SweepGrid", "run_sweep", "render_csv", "render_json", "parse_csv"]
 
@@ -55,7 +61,7 @@ class SweepGrid:
     """Grid of sweep cells plus the estimation settings shared by all cells.
 
     stat must be a sum statistic ("running_max" or "final_sum"); trials = 0
-    turns the Monte Carlo columns off.
+    turns the Monte Carlo columns off.  Each n and beta is checked here, once.
     """
 
     n_values: tuple[int, ...]
@@ -69,6 +75,10 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not self.n_values or not self.beta_values or not self.s_values:
             raise ValueError("sweep grid axes must be non-empty")
+        for n in self.n_values:
+            _check_n(n)
+        for beta in self.beta_values:
+            _check_beta(beta)
         if self.stat not in (RUNNING_MAX, FINAL_SUM):
             raise ValueError(
                 f"sweep stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {self.stat!r}"
@@ -93,9 +103,11 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """
     workers = _resolve_workers(workers)
     dist = grid.dist
+    levels = np.asarray(grid.s_values, dtype=float)
     blank = [None] * len(grid.s_values)
     rows = []
-    interior = []  # rows the numeric search fills after the loop
+    interior = []  # per row, whether the numeric search fills it (s < 1)
+    search = []  # the search's n, n^(1/beta), x and s of those rows, per (n, beta)
     for n in grid.n_values:
         mags = None
         if dist.supports_exact() and n <= MAX_ENUM_N:
@@ -103,7 +115,15 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
             with contextlib.suppress(ValueError):
                 mags = dist.exact_magnitudes(n)
         for beta in grid.beta_values:
-            xs = [threshold_from_s(n, beta, s) for s in grid.s_values]
+            b = float(beta)
+            x = levels * _endpoint(n, b)  # the float multiply of threshold_from_s
+            s, _, bn = _bn_cells(n, b, x)
+            below = s < 1.0
+            k = int(below.sum())
+            n1b = float(n) ** (1.0 / b)
+            search.append([np.full(k, float(n)), np.full(k, n1b), x[below], s[below]])
+            interior += below.tolist()
+            xs = x.tolist()
             exact = blank
             if mags is not None:
                 tails = exact_tail_multi(mags, beta, xs, grid.stat, workers)
@@ -113,15 +133,17 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
                 estimates = estimate_tail_multi(
                     dist, n, beta, xs, grid.stat, grid.trials, grid.seed, workers
                 )
-            for s, x, probability, est in zip(grid.s_values, xs, exact, estimates):
-                evaluation = bound_bn(n, beta, x)
-                row = {
+            corollary = np.exp(_corollary_log(n, b, x)).tolist()
+            for level, threshold, bound, cor, probability, est in zip(
+                grid.s_values, xs, bn.tolist(), corollary, exact, estimates
+            ):
+                rows.append({
                     "n": n,
                     "beta": beta,
-                    "s": s,
-                    "x": x,
-                    "bound_bn": evaluation.value,
-                    "bound_corollary": bound_corollary(n, beta, x),
+                    "s": level,
+                    "x": threshold,
+                    "bound_bn": bound,
+                    "bound_corollary": cor,
                     "bernstein_numeric": None,
                     "oracle_exact": probability,
                     "mc_p_hat": None if est is None else est.p_hat,
@@ -129,12 +151,9 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
                     "mc_ci_high": None if est is None else est.ci_high,
                     "trials": grid.trials,
                     "seed": grid.seed,
-                }
-                rows.append(row)
-                if evaluation.regime == INTERIOR:
-                    interior.append(row)
-    _, log_objective, _ = _bernstein_search((r["n"], r["beta"], r["x"]) for r in interior)
-    for row, value in zip(interior, log_objective):
+                })
+    _, log_objective, _ = _bernstein_search(*np.concatenate(search, axis=1))
+    for row, value in zip(itertools.compress(rows, interior), log_objective):
         row["bernstein_numeric"] = math.exp(value)  # bernstein_numeric's objective_value
     return rows
 
@@ -174,12 +193,16 @@ def parse_csv(text: str) -> list[dict]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    if not lines:
+        raise ValueError("empty sweep CSV")
     header = tuple(lines[0].split(","))
     if header != COLUMNS:
         raise ValueError(f"unexpected sweep header {header!r}")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(COLUMNS):
+            raise ValueError(f"line {number}: {len(cells)} cells, expected {len(COLUMNS)}")
         row = {}
         for col, cell in zip(COLUMNS, cells):
             if cell == "":

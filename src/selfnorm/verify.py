@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
+import time
 
 import numpy as np
 
@@ -148,6 +150,12 @@ def dominance() -> str:
     return f"{cells} cells dominated"
 
 
+def _bernstein_minima(grid):
+    """One search over (n, beta, s, x) cells; each result equals bernstein_numeric's."""
+    cells = [(n, n ** (1.0 / beta), x, x / endpoint_threshold(n, beta)) for n, beta, _, x in grid]
+    return bounds._bernstein_search(*np.array(cells).T)
+
+
 def bernstein_consistency() -> str:
     """Numeric minimization reproduces the closed form and its minimizer."""
     grid = [
@@ -156,8 +164,7 @@ def bernstein_consistency() -> str:
         for beta in _BETAS
         for s in (0.01, 0.1, 0.5, 0.9, 0.99)
     ]
-    # One batched search; each cell's result equals bernstein_numeric's.
-    found, log_objective, _ = bounds._bernstein_search([(n, beta, x) for n, beta, _, x in grid])
+    found, log_objective, _ = _bernstein_minima(grid)
     worst_obj = worst_lam = 0.0
     for (n, beta, s, x), numeric, log_numeric in zip(grid, found, log_objective):
         closed = bound_bn(n, beta, x).value
@@ -278,8 +285,7 @@ def two_point_tightness() -> str:
         for beta in _ORACLE_BETAS
         for s in (0.1, 0.3, 0.5, 0.7, 0.9)
     ]
-    # One batched search; each cell's result equals bernstein_numeric's.
-    _, log_objective, _ = bounds._bernstein_search([(n, beta, x) for n, beta, _, x in grid])
+    _, log_objective, _ = _bernstein_minima(grid)
     for (n, beta, s, x), log_numeric in zip(grid, log_objective):
         exact = exact_tail([1.0] * n, beta, x, FINAL_SUM)
         numeric = math.exp(log_numeric)
@@ -512,10 +518,14 @@ SUITES: tuple[tuple[str, object], ...] = (
 
 
 def run_suites() -> int:
-    """Run every suite; exit code 0 (all pass), 1 (failure), 2 (internal error)."""
+    """Run every suite; exit code 0 (all pass), 1 (failure), 2 (internal error).
+
+    Each suite's seconds go to stderr, so stdout stays deterministic.
+    """
     width = max(len(name) for name, _ in SUITES)
     failures = errors = 0
     for name, suite in SUITES:
+        start = time.perf_counter()
         try:
             detail = suite()
             print(f"PASS  {name:<{width}}  {detail}")
@@ -525,6 +535,7 @@ def run_suites() -> int:
         except Exception as exc:  # noqa: BLE001 - reported as an internal error
             errors += 1
             print(f"ERROR {name:<{width}}  {type(exc).__name__}: {exc}")
+        print(f"{name:<{width}}  {time.perf_counter() - start:.3f} s", file=sys.stderr)
     total = len(SUITES)
     print(f"{total - failures - errors}/{total} suites passed")
     if errors:

@@ -77,7 +77,8 @@ def test_03_numeric_optimizer_matches_closed_form():
         for s in (0.01, 0.1, 0.5, 0.9, 0.99)
     ]
     # One batched search; each cell's result equals bernstein_numeric's.
-    found, log_objective, _ = bounds._bernstein_search(cells)
+    rows = [(n, n ** (1.0 / beta), x, x / endpoint_threshold(n, beta)) for n, beta, x in cells]
+    found, log_objective, _ = bounds._bernstein_search(*np.array(rows).T)
     worst_value = worst_lambda = 0.0
     for (n, beta, x), lam, log_value in zip(cells, found, log_objective):
         closed = bound_bn(n, beta, x).value

@@ -226,9 +226,9 @@ class TestBernstein:
         assert deep.log_objective == pytest.approx(bound_bn(10000, 1.2, x).log_value, rel=1e-12)
 
     def test_rejects_endpoint_and_beyond(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly below the endpoint"):
             bernstein_numeric(4, 2.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly below the endpoint"):
             bernstein_numeric(4, 2.0, 2.5)
 
     def test_lambda_star_infinite_at_endpoint(self):
@@ -245,8 +245,16 @@ class TestBernsteinBatch:
         for s in (1e-300, 1e-8, 0.5, 0.999999, 1.0 - 1e-15)
     ]
 
+    @staticmethod
+    def search(cells):
+        """_bernstein_search over (n, beta, x) cells, each laid out as
+        bernstein_numeric lays out its one cell."""
+        rows = [(n, float(n) ** (1.0 / beta), x, x / endpoint_threshold(n, beta))
+                for n, beta, x in cells]
+        return _bernstein_search(*np.array(rows, dtype=float).reshape(-1, 4).T)
+
     def test_extremes_match_closed_form(self):
-        lam, log_objective, iterations = _bernstein_search(self.CELLS)
+        lam, log_objective, iterations = self.search(self.CELLS)
         for (n, beta, x), log_value, steps in zip(self.CELLS, log_objective, iterations):
             closed = bound_bn(n, beta, x)
             assert closed.regime == INTERIOR
@@ -260,8 +268,8 @@ class TestBernsteinBatch:
     def test_cells_do_not_depend_on_the_batch(self):
         # Reversed order puts every cell in another lane; one-cell calls are
         # bernstein_numeric itself.
-        lam, log_objective, iterations = _bernstein_search(self.CELLS)
-        back = _bernstein_search(self.CELLS[::-1])
+        lam, log_objective, iterations = self.search(self.CELLS)
+        back = self.search(self.CELLS[::-1])
         for got, reversed_ in zip((lam, log_objective, iterations), back):
             assert np.array_equal(got, reversed_[::-1])
         for cell, l, v, k in zip(self.CELLS, lam, log_objective, iterations):
@@ -270,11 +278,7 @@ class TestBernsteinBatch:
             assert single.objective_value == math.exp(v)
 
     def test_empty_batch(self):
-        assert [a.size for a in _bernstein_search([])] == [0, 0, 0]
-
-    def test_rejects_an_endpoint_cell_in_a_batch(self):
-        with pytest.raises(ValueError, match="strictly below the endpoint"):
-            _bernstein_search([(4, 2.0, 1.0), (4, 2.0, 2.0)])
+        assert [a.size for a in self.search([])] == [0, 0, 0]
 
 
 class TestLogCosh:

@@ -1,6 +1,7 @@
 """Sweep rows against the single-threshold oracle and estimator."""
 
 import math
+import re
 
 import pytest
 
@@ -12,8 +13,11 @@ from selfnorm import (
     SweepGrid,
     bernstein_numeric,
     bound_bn,
+    bound_corollary,
     estimate_tail,
     exact_tail,
+    parse_csv,
+    render_csv,
     run_sweep,
     threshold_from_s,
 )
@@ -55,7 +59,9 @@ def test_rows_equal_single_threshold_calls(dist, stat):
 
 def test_bernstein_column_equals_one_cell_calls():
     # One batched search fills the column for the whole grid; each entry must
-    # not depend on the batch size or on the cell's lane in it.
+    # not depend on the batch size or on the cell's lane in it.  The bound
+    # columns come from one array call per (n, beta) and must equal the
+    # public one-cell functions bit for bit: there is one evaluation route.
     grid = SweepGrid(
         (1, 2, 64, 4096, 10**4),
         (1.01, 1.5, 2.0, 10.0),
@@ -68,6 +74,8 @@ def test_bernstein_column_equals_one_cell_calls():
     interior = 0
     for row in rows:
         n, beta, x = row["n"], row["beta"], row["x"]
+        assert row["bound_bn"] == bound_bn(n, beta, x).value
+        assert row["bound_corollary"] == bound_corollary(n, beta, x)
         if bound_bn(n, beta, x).regime == INTERIOR:
             assert row["bernstein_numeric"] == bernstein_numeric(n, beta, x).objective_value
             interior += 1
@@ -100,7 +108,53 @@ def test_grid_rejects_bad_trials(trials, message):
         SweepGrid((4,), (2.0,), (0.5,), trials=trials)
 
 
+@pytest.mark.parametrize(
+    "n_values, beta_values, message",
+    [
+        ((4, 0), (2.0,), "n must be >= 1, got 0"),
+        ((True,), (2.0,), "n must be an integer, got True"),
+        ((4, 2.5), (2.0,), "n must be an integer, got 2.5"),
+        ((4,), (2.0, 1.0), "beta must be a finite real > 1, got 1.0"),
+        ((4,), (math.nan,), "beta must be a finite real > 1, got nan"),
+        ((4,), (2.0, math.inf), "beta must be a finite real > 1, got inf"),
+    ],
+    ids=["n0", "n_bool", "n_float", "beta1", "beta_nan", "beta_inf"],
+)
+def test_grid_rejects_bad_axis_values(n_values, beta_values, message):
+    # Each axis value is checked once, when the grid is built, with the
+    # message the one-cell bound functions give.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepGrid(n_values, beta_values, (0.5,), trials=0)
+
+
 @pytest.mark.parametrize("s_values", [(math.nan,), (0.5, math.nan), (math.nan, 0.5)])
 def test_grid_rejects_nan_levels(s_values):
     with pytest.raises(ValueError, match=r"^sweep s values must lie in \(0, 1\]$"):
         SweepGrid((4,), (2.0,), s_values)
+
+
+class TestParseCsv:
+    TEXT = render_csv(run_sweep(SweepGrid((4,), (2.0,), (0.5, 1.0), trials=0)))
+
+    def test_round_trip(self):
+        assert render_csv(parse_csv(self.TEXT)) == self.TEXT
+
+    def test_rejects_empty_text(self):
+        # An IndexError before the check.
+        with pytest.raises(ValueError, match="^empty sweep CSV$"):
+            parse_csv("")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:-1], "line 3: 12 cells, expected 13"),
+            (lambda cells: cells + ["7"], "line 3: 14 cells, expected 13"),
+            (lambda cells: [""], "line 3: 1 cells, expected 13"),
+        ],
+        ids=["short", "long", "blank"],
+    )
+    def test_rejects_a_row_of_another_width(self, edit, message):
+        lines = self.TEXT.split("\n")
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_csv("\n".join(lines))

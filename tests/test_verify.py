@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -77,3 +78,26 @@ class TestOracleBelowBound:
         with pytest.raises(SuiteFailure) as failure:
             suite()
         assert str(failure.value) == message
+
+
+class TestRunSuites:
+    def test_seconds_go_to_stderr_only(self, monkeypatch, capsys):
+        def failing():
+            raise SuiteFailure("off by one")
+
+        def broken():
+            raise KeyError("x")
+
+        suites = (("FIRST", lambda: "fine"), ("SECOND SUITE", failing), ("THIRD", broken))
+        monkeypatch.setattr(verify, "SUITES", suites)
+        assert verify.run_suites() == 2
+        out, err = capsys.readouterr()
+        assert out == (
+            "PASS  FIRST         fine\n"
+            "FAIL  SECOND SUITE  off by one\n"
+            "ERROR THIRD         KeyError: 'x'\n"
+            "1/3 suites passed\n"
+        )
+        lines = err.splitlines()
+        assert [line[:12].rstrip() for line in lines] == ["FIRST", "SECOND SUITE", "THIRD"]
+        assert all(re.fullmatch(r".{12}  \d+\.\d{3} s", line) for line in lines)
