@@ -164,13 +164,21 @@ def log_cosh(u: float | np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """The math function f entry by entry.  numpy's log, log1p and exp differ
+    from libm's in the last bit on a few percent of inputs, which can move
+    the 12th significant digit of a rendered bound."""
+    return np.array([f(v) for v in a.tolist()], dtype=float)
+
+
 def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
     """Unchecked s, log B_n and B_n at the thresholds x (an array) of one (n, b).
 
     Below the endpoint the log is the product form or, with entropy, -n H(s),
     computed on those cells only so that no other cell warns; s = 1 gives
     exactly 2^-n, and s > 1 gives 0 with log -inf.  Powers of n stay Python
-    float powers: numpy's pow can differ from libm's in the last bit.
+    float powers and logs and exps run through _libm, so every entry equals
+    the scalar formula bit for bit.
     """
     s = x / _endpoint(n, b)
     # The endpoint is attained only by the all-plus sign configuration.
@@ -179,14 +187,15 @@ def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
     u = s[below]
     if entropy:
         # H(s) = ((1+s)/2) log(1+s) + ((1-s)/2) log(1-s), the binary entropy term.
-        log_value[below] = -n * (0.5 * (1.0 + u) * np.log1p(u) + 0.5 * (1.0 - u) * np.log1p(-u))
+        h = 0.5 * (1.0 + u) * _libm(math.log1p, u) + 0.5 * (1.0 - u) * _libm(math.log1p, -u)
+        log_value[below] = -n * h
     else:
         # 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2), term by term in logs.
         t = (1.0 + u) / (1.0 - u)
         rt = np.sqrt(t)
-        log_value[below] = (-n * _LN2 + n * np.log(rt + 1.0 / rt)
-                            - 0.5 * float(n) ** (1.0 / b) * x[below] * np.log(t))
-    value = np.exp(log_value)
+        log_value[below] = (-n * _LN2 + n * _libm(math.log, rt + 1.0 / rt)
+                            - 0.5 * float(n) ** (1.0 / b) * x[below] * _libm(math.log, t))
+    value = _libm(math.exp, log_value)
     value[s == 1.0] = 2.0 ** (-n)
     return s, log_value, value
 
@@ -239,7 +248,7 @@ def bound_corollary(n: int, beta: float, x: float) -> float:
     corollary_is_extrapolated) and still dominates bound_bn.
     """
     n, b, x = _check_cell(n, beta, x)
-    return float(np.exp(_corollary_log(n, b, np.array([x])))[0])
+    return math.exp(_corollary_log(n, b, x))
 
 
 def corollary_is_extrapolated(beta: float) -> bool:

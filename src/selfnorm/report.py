@@ -24,6 +24,7 @@ from .bounds import (
     _check_n,
     _corollary_log,
     _endpoint,
+    _libm,
     bound_bn,
     bound_corollary,
     bernstein_numeric,
@@ -133,7 +134,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
                 estimates = estimate_tail_multi(
                     dist, n, beta, xs, grid.stat, grid.trials, grid.seed, workers
                 )
-            corollary = np.exp(_corollary_log(n, b, x)).tolist()
+            corollary = _libm(math.exp, _corollary_log(n, b, x)).tolist()
             for level, threshold, bound, cor, probability, est in zip(
                 grid.s_values, xs, bn.tolist(), corollary, exact, estimates
             ):
