@@ -300,7 +300,7 @@ def lambda_star(n: int, beta: float, x: float) -> float:
     (n^((beta-1)/beta) - x)); +inf at and beyond the endpoint.
     """
     n, b, x = _check_cell(n, beta, x)
-    nb = endpoint_threshold(n, b)
+    nb = _endpoint(n, b)
     if x >= nb:
         return math.inf
     return 0.5 * float(n) ** (1.0 / b) * math.log((nb + x) / (nb - x))

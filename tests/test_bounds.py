@@ -97,6 +97,40 @@ class TestBoundBn:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def _scalar_formulas(n, beta, x):
+    """The bound formulas one cell at a time in math-module floats: the
+    reference the array evaluator must match bit for bit."""
+    s = x / float(n) ** ((beta - 1.0) / beta)
+    t = (1.0 + s) / (1.0 - s)
+    rt = math.sqrt(t)
+    product = (-n * math.log(2.0) + n * math.log(rt + 1.0 / rt)
+               - 0.5 * float(n) ** (1.0 / beta) * x * math.log(t))
+    entropy = -n * (0.5 * (1.0 + s) * math.log1p(s) + 0.5 * (1.0 - s) * math.log1p(-s))
+    corollary = math.exp(-(0.5 * x * x * float(n) ** (2.0 / beta - 1.0)))
+    return s, t, product, math.exp(product), entropy, math.exp(entropy), corollary
+
+
+class TestArrayEvaluator:
+    # Small s puts log's argument near 1, where numpy's log differs from
+    # libm's on about one input in twenty; exp and log1p differ elsewhere.
+    rng = np.random.default_rng(20261018)
+    CELLS = [
+        (int(n), float(beta), threshold_from_s(int(n), float(beta), float(s)))
+        for n, beta, s in zip(
+            np.concatenate([rng.integers(1, 40, 500), rng.integers(40, 10**6, 500)]),
+            rng.uniform(1.01, 10.0, 1000),
+            np.exp(rng.uniform(math.log(1e-9), math.log(0.999), 1000)),
+        )
+    ]
+
+    def test_equals_the_scalar_formulas_bit_for_bit(self):
+        for n, beta, x in self.CELLS:
+            product, entropy = bound_bn(n, beta, x), bound_bn_entropy_form(n, beta, x)
+            got = (product.s, product.t, product.log_value, product.value,
+                   entropy.log_value, entropy.value, bound_corollary(n, beta, x))
+            assert got == _scalar_formulas(n, beta, x), (n, beta, x)
+
+
 class TestThresholds:
     def test_endpoint_threshold_values(self):
         assert endpoint_threshold(9, 2.0) == 3.0

@@ -74,6 +74,7 @@ def test_bernstein_column_equals_one_cell_calls():
     interior = 0
     for row in rows:
         n, beta, x = row["n"], row["beta"], row["x"]
+        assert x == threshold_from_s(n, beta, row["s"])
         assert row["bound_bn"] == bound_bn(n, beta, x).value
         assert row["bound_corollary"] == bound_corollary(n, beta, x)
         if bound_bn(n, beta, x).regime == INTERIOR:
