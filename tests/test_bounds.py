@@ -5,6 +5,7 @@ defining formulas (entropy form, atanh minimizer, half-normal quantiles)
 and frozen here; tolerances reflect double-precision evaluation error.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -102,9 +103,8 @@ def _scalar_formulas(n, beta, x):
     reference the array evaluator must match bit for bit."""
     s = x / float(n) ** ((beta - 1.0) / beta)
     t = (1.0 + s) / (1.0 - s)
-    rt = math.sqrt(t)
-    product = (-n * math.log(2.0) + n * math.log(rt + 1.0 / rt)
-               - 0.5 * float(n) ** (1.0 / beta) * x * math.log(t))
+    a = math.atanh(s)
+    product = n * (log_cosh(a) - s * a)
     entropy = -n * (0.5 * (1.0 + s) * math.log1p(s) + 0.5 * (1.0 - s) * math.log1p(-s))
     corollary = math.exp(-(0.5 * x * x * float(n) ** (2.0 / beta - 1.0)))
     return s, t, product, math.exp(product), entropy, math.exp(entropy), corollary
@@ -129,6 +129,48 @@ class TestArrayEvaluator:
             got = (product.s, product.t, product.log_value, product.value,
                    entropy.log_value, entropy.value, bound_corollary(n, beta, x))
             assert got == _scalar_formulas(n, beta, x), (n, beta, x)
+
+
+def _decimal_log_bn(n, s):
+    """log B_n = -n H(s) at the float s, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        s, one = decimal.Decimal(s), decimal.Decimal(1)
+        return -n * ((one + s) / 2 * (one + s).ln() + (one - s) / 2 * (one - s).ln())
+
+
+class TestProductFormAccuracy:
+    # Written as -n log 2 + n log(sqrt t + 1/sqrt t) - ..., the product form
+    # cancelled n log 2 down to about n s^2 / 2: at n = 10^16, x = 1 it gave
+    # 0.3679 for 0.6065.
+    N_VALUES = sorted({int(v) for v in np.logspace(0, 20, 41)} | {2, 3, 10**16, 10**20})
+    S_VALUES = [*np.logspace(-12, -1e-4, 30), 0.5, 0.9, 0.999, 1.0 - 2.0**-40, 1.0 - 2.0**-53]
+
+    def test_log_matches_a_decimal_reference_for_n_up_to_1e20(self):
+        cells = 0
+        for n in self.N_VALUES:
+            for beta in (1.5, 2.0, 3.0):
+                for level in self.S_VALUES:
+                    evaluation = bound_bn(n, beta, threshold_from_s(n, beta, float(level)))
+                    if evaluation.s >= 1.0:
+                        continue
+                    reference = _decimal_log_bn(n, evaluation.s)
+                    if reference <= -700:
+                        continue
+                    error = abs(decimal.Decimal(evaluation.log_value) - reference)
+                    assert error <= decimal.Decimal(1e-14) * max(1, abs(reference)), (
+                        n, beta, level, evaluation.log_value, float(reference)
+                    )
+                    cells += 1
+        assert cells > 2000
+
+    def test_large_n_at_small_s_agrees_with_every_route(self):
+        # x = 1 puts s at n^-1/2; the bound tends to exp(-1/2).
+        for n in (10**14, 10**16):
+            value = bound_bn(n, 2.0, 1.0).value
+            assert value == pytest.approx(math.exp(-0.5), rel=1e-12)
+            assert value == pytest.approx(bound_bn_entropy_form(n, 2.0, 1.0).value, rel=1e-8)
+            assert value == pytest.approx(bernstein_numeric(n, 2.0, 1.0).objective_value, rel=1e-8)
 
 
 class TestThresholds:
