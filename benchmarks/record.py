@@ -63,10 +63,16 @@ def _source_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
+def _src_lines(src: Path) -> int:
+    """Line count of src/selfnorm/*.py, as `wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "selfnorm").glob("*.py"))
+
+
 def write(args, unit: str, records: list[dict], key, output) -> int:
     """Store records under args.label in args.out, with the core count, the
-    numpy version, the git sha of the measured tree and a sha256 of its
-    selfnorm sources (which identifies uncommitted trees too).
+    numpy version, the git sha of the measured tree, a sha256 of its
+    selfnorm sources (which identifies uncommitted trees too) and their
+    line count.
 
     key(rec) names a record across labels and output(rec) is what must match
     there (None: nothing to check).  Prints each mismatch to stderr and
@@ -80,6 +86,7 @@ def write(args, unit: str, records: list[dict], key, output) -> int:
     bench.setdefault("runs", {})[args.label] = {
         "git_sha": _git_sha(args.src),
         "source_sha256": _source_sha256(args.src),
+        "src_lines": _src_lines(args.src),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -179,10 +179,6 @@ def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
     exactly 2^-n, and s > 1 gives 0 with log -inf.  atanh and exp run
     through _libm and log_cosh is lane-independent, so every entry equals
     its one-entry call bit for bit.
-
-    The entropy form loses digits at small s: its two log1p terms are
-    +-s/2 to first order and cancel down to s^2/2, so its log carries a
-    relative error of about 1e-16 / s (near 1e-8 at s = 1e-8).
     """
     s = x / _endpoint(n, b)
     # The endpoint is attained only by the all-plus sign configuration.
@@ -194,10 +190,9 @@ def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
         h = 0.5 * (1.0 + u) * _libm(math.log1p, u) + 0.5 * (1.0 - u) * _libm(math.log1p, -u)
         log_value[below] = -n * h
     else:
-        # 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2) with sqrt t = e^a,
-        # a = atanh(s), and n^(1/beta) x = n s: n (log cosh a - s a).  Written
-        # term by term, -n log 2 + n log(sqrt t + 1/sqrt t) cancelled down
-        # from n log 2 to about n s^2 / 2 and lost every digit by n = 10^16.
+        # The log of 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2), with
+        # sqrt t = e^a.  Term by term, -n log 2 + n log(sqrt t + 1/sqrt t)
+        # would cancel n log 2 down to about n s^2 / 2 and lose every digit.
         a = _libm(math.atanh, u)
         log_value[below] = n * (log_cosh(a) - u * a)
     value = _libm(math.exp, log_value)
@@ -235,7 +230,9 @@ def bound_bn_entropy_form(n: int, beta: float, x: float) -> BoundEvaluation:
     """Same bound as exp(-n H(s)) with H the binary entropy of (1+s)/2.
 
     Algebraically identical to bound_bn; kept as an independent numeric
-    route so the two implementations can cross-check each other.
+    route so the two implementations can cross-check each other.  It loses
+    digits at small s: its two log1p terms are +-s/2 to first order and
+    cancel down to s^2/2, so its log is off by about 1e-16 / s relative.
     """
     return _evaluate(n, beta, x, entropy=True)
 
@@ -337,7 +334,9 @@ def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
             "numeric minimization needs x strictly below the endpoint "
             f"n^((beta-1)/beta); got scaled threshold s = {s}"
         )
-    lam, log_objective, iterations = _bernstein_search(*np.array([[n, n ** (1.0 / b), x, s]]).T)
+    # float(n): a Python int past 2^64 would make an object array.
+    cell = np.array([[float(n), float(n) ** (1.0 / b), x, s]])
+    lam, log_objective, iterations = _bernstein_search(*cell.T)
     return BernsteinResult(
         float(lam[0]), math.exp(log_objective[0]), int(iterations[0]), float(log_objective[0])
     )

@@ -32,27 +32,18 @@ from .bounds import (
     mdp_alpha_window,
     threshold_from_s,
 )
-from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tstat_tail
-from .simulate import TSTAT, DistributionSpec, _bound_for, estimate_tail, respects
+from .oracle import STATS, TSTAT, _bound_for, exact_tail
+from .report import _format_cell
+from .simulate import DistributionSpec, estimate_tail, respects
 
 __all__ = ["main", "build_parser"]
 
-_STATS = {"running-max": RUNNING_MAX, "final-sum": FINAL_SUM, "tstat": TSTAT}
+_STATS = {stat.replace("_", "-"): stat for stat in STATS}
 _KINDS = ("bn", "entropy", "corollary", "bernstein", "tstat", "two-sided", "rescaled")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def _emit(pairs: list[tuple[str, object]]) -> None:
-    print(" ".join(f"{key}={_fmt(value)}" for key, value in pairs))
+    print(" ".join(f"{key}={_format_cell(value)}" for key, value in pairs))
 
 
 def _read_magnitudes(path: str) -> np.ndarray:
@@ -184,7 +175,7 @@ def cmd_oracle(args) -> int:
     dist = _parse_dist(args.dist)
     n, mags = _oracle_magnitudes(args, dist)
     x, beta, evaluation, fields = _cell(args, stat, n)
-    tail = exact_tstat_tail(mags, x) if stat == TSTAT else exact_tail(mags, beta, x, stat)
+    tail = exact_tail(mags, beta, x, stat)
     pairs = [("n", n), *fields, ("stat", args.stat), ("hits", tail.hits), ("total", tail.total)]
     if stat == TSTAT:
         pairs.append(("degenerate", tail.degenerate))

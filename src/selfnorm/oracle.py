@@ -31,6 +31,11 @@ magnitudes S1 + S2 and S1 + M2 are not the sequential cumulative sums,
 and differ from them in the last ulps; that moves a count only when a
 statistic lies within rounding of the tie-guarded cut.  Integer-valued
 normalized magnitudes sum exactly either way.
+
+Student's t is counted in the same pass: off the two constant sign
+vectors, {T_n >= x} is the final sum's event at beta = 2 and level
+tstat_threshold(n, x) (Efron 1969).  The statistic names (STATS), their
+check and the bound each statistic is held to are defined here.
 """
 
 from __future__ import annotations
@@ -41,13 +46,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _t_value, tstat_threshold
+from .bounds import BoundEvaluation, bound_bn, bound_tstat, tstat_threshold
+from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _t_value
 
 __all__ = [
     "MAX_ENUM_N",
     "TIE_GUARD",
     "RUNNING_MAX",
     "FINAL_SUM",
+    "TSTAT",
+    "STATS",
     "ExactTail",
     "tie_guarded",
     "exact_tail",
@@ -63,6 +71,8 @@ TIE_GUARD = 1e-9
 
 RUNNING_MAX = "running_max"
 FINAL_SUM = "final_sum"
+TSTAT = "tstat"
+STATS = (RUNNING_MAX, FINAL_SUM, TSTAT)
 
 
 def tie_guarded(x: float) -> float:
@@ -121,6 +131,18 @@ def _count_at(stats: np.ndarray, cuts) -> np.ndarray:
     # Elementwise >=, not a search over sorted values: a NaN statistic
     # must stay a miss at every cut.
     return np.array([np.count_nonzero(stats >= c) for c in cuts], dtype=np.int64)
+
+
+def _check_stat(stat: str, n: int) -> int:
+    """n for stat, one of STATS; Student's t needs two observations."""
+    if stat not in STATS:
+        raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
+    return _check_n(n, minimum=2 if stat == TSTAT else 1)
+
+
+def _bound_for(stat: str, n: int, beta: float, x: float) -> BoundEvaluation:
+    """The bound stat's tail at x is checked against (beta unused by tstat)."""
+    return bound_tstat(n, x) if stat == TSTAT else bound_bn(n, beta, x)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -198,85 +220,19 @@ def _starts(base: np.ndarray, keys: np.ndarray, cut: float) -> np.ndarray:
     return start
 
 
-def exact_tail_multi(
-    mags,
-    beta: float,
-    xs,
-    stat: str = RUNNING_MAX,
-    workers: int | None = None,
-) -> list[ExactTail]:
-    """exact_tail at several thresholds sharing one enumeration pass."""
-    arr = _check_magnitudes(mags)
-    b = _check_beta(beta)
-    if stat not in (RUNNING_MAX, FINAL_SUM):
-        raise ValueError(f"stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {stat!r}")
-    _resolve_workers(workers)
-    v = float(_beta_norm(arr, b))
-    cuts = [tie_guarded(_check_x(x)) * v for x in xs]
-    running_max = stat == RUNNING_MAX
-    # Pair (i, j) has statistic S1_i + S2_j, or max(M1_i, S1_i + M2_j).
-    # Normalized magnitudes are finite and at most 1, so no statistic is
-    # NaN and a sorted search counts what _count_at would.
-    first, second = _halves(arr, 1 + running_max)
-    keys = np.append(np.sort(second[-1]), np.inf)
-    partners = second.shape[1]
-    tails = []
-    for c in cuts:
-        start = _starts(first[0], keys, c)
-        if running_max:
-            start[first[1] >= c] = 0
-        tails.append(ExactTail(hits=int((partners - start).sum()), total=1 << arr.size))
-    return tails
+def _tstat_tail(arr, x: float, cut: float, sums1, keys, order, start, hits: int) -> ExactTail:
+    """{T_n >= x} from the pass's count of S_n >= cut, where the cut is
+    tie_guarded(tstat_threshold(n, x)) * V_n(2) on the argsorted final sums.
 
-
-def exact_tail(
-    mags,
-    beta: float,
-    x: float,
-    stat: str = RUNNING_MAX,
-    workers: int | None = None,
-) -> ExactTail:
-    """Exact tail probability of the self-normalized sum by enumeration.
-
-    Counts sign vectors whose statistic (running maximum of prefix sums, or
-    the final sum) reaches x * V_n(beta); V_n is the same for every sign
-    vector.  The returned hits/total ratio is the exact probability.
-
-    Args:
-        mags: nonnegative magnitudes, 1 <= len <= 30, at least one positive;
-            only their ratios matter.
-        beta: variation exponent > 1.
-        x: threshold on the self-normalized scale, > 0.
-        stat: "running_max" or "final_sum".
-        workers: checked like estimate_tail's (default SELFNORM_THREADS or
-            1) and otherwise unused: enumeration always runs in one thread.
+    Constant sign vectors (sample deviation zero, T_n undefined) leave the
+    event and go to degenerate.  T_n rises strictly with S_n, so the direct
+    route T_n >= x is evaluated only where the count can change: each
+    first-half state's last miss and first hit, and the all-minus and
+    all-plus vectors.  If the routes disagree on any of them, the count
+    aborts rather than depend on the route taken.
     """
-    return exact_tail_multi(mags, beta, [x], stat, workers)[0]
-
-
-def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
-    """Exact tail count of Student's t-statistic by sign enumeration.
-
-    Every sign vector with sample deviation zero (all coordinates equal,
-    where T_n is undefined) is excluded from the event and tallied in
-    degenerate.  The remaining vectors are counted through the equivalent
-    self-normalized event S_n >= tstat_threshold(n, x) * V_n(2).  For fixed
-    magnitudes T_n rises strictly with S_n, so the direct route T_n >= x
-    is evaluated where the count can change: on each first-half state's
-    last miss and first hit in the sorted second half, and on the
-    all-minus and all-plus vectors.  The two routes must agree on every
-    vector evaluated; a mismatch aborts rather than returning a number
-    that depends on the route taken.  workers is checked as in exact_tail
-    and otherwise unused: enumeration runs in one thread.
-    """
-    arr = _check_magnitudes(mags)
-    n = _check_n(int(arr.size), minimum=2)
-    x = _check_x(x)
-    _resolve_workers(workers)
-    tau = tstat_threshold(n, x)
+    n, total = arr.size, 1 << arr.size
     cut_t = tie_guarded(x)
-    cut_sum = tie_guarded(tau) * float(_beta_norm(arr, 2.0))
-    total = 1 << n
     square_sum = float((arr * arr).sum())
     # Only the all-minus (state 0 of both halves) and all-plus (the last
     # state of both) vectors can be constant, and only with equal magnitudes.
@@ -287,18 +243,12 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     constant = bool(np.all(arr == arr[0]))
     mean = arr.mean()
     t_plus = _t_value(n, mean, ((arr - mean) ** 2).sum())
-
-    (sums1,), (sums2,) = _halves(arr, 1)
-    order = np.argsort(sums2)
-    keys = np.append(sums2[order], np.inf)
-    start = _starts(sums1, keys, cut_sum)
-    hits = int((sums2.size - start).sum())
     # t rises strictly with S_n, so the routes can only part where a row's
     # hits begin: check each row's last miss and first hit, then the
     # all-minus and all-plus vectors (row 0 and the last row) once each.
-    last = sums1.size - 1
-    minus, plus = (np.flatnonzero(order == k)[0] for k in (0, order.size - 1))
-    has_miss, has_hit = start > 0, start < sums2.size
+    last, partners = sums1.size - 1, order.size
+    minus, plus = (np.flatnonzero(order == k)[0] for k in (0, partners - 1))
+    has_miss, has_hit = start > 0, start < partners
     i = np.concatenate([np.flatnonzero(has_miss), np.flatnonzero(has_hit)])
     j = np.concatenate([start[has_miss] - 1, start[has_hit]])
     inner = ~(((i == 0) & (j == minus)) | ((i == last) & (j == plus)))
@@ -306,16 +256,76 @@ def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
     j = np.append(j[inner], [minus, plus])
     sums = sums1[i] + keys[j]
     direct = _t_value(n, sums / n, square_sum - sums * sums / n) >= cut_t
-    ident = sums >= cut_sum
+    ident = sums >= cut
     direct[-2:] = [not constant and t >= cut_t for t in (-t_plus, t_plus)]
     ident[-2:] &= not constant
     disagree = np.count_nonzero(direct != ident)
     if constant:
-        hits -= int(np.count_nonzero(sums[-2:] >= cut_sum))
-    degenerate = 2 if constant else 0
+        hits -= int(np.count_nonzero(sums[-2:] >= cut))
     if disagree:
         raise RuntimeError(
             f"t-statistic event and its self-normalized form disagree on "
             f"{disagree} of {total} sign vectors"
         )
-    return ExactTail(hits=hits, total=total, degenerate=degenerate)
+    return ExactTail(hits=hits, total=total, degenerate=2 if constant else 0)
+
+
+def exact_tail_multi(
+    mags, beta: float, xs, stat: str = RUNNING_MAX, workers: int | None = None
+) -> list[ExactTail]:
+    """exact_tail at several thresholds sharing one enumeration pass."""
+    arr = _check_magnitudes(mags)
+    b = _check_beta(beta)
+    n = _check_stat(stat, arr.size)
+    _resolve_workers(workers)
+    xs = [_check_x(x) for x in xs]
+    tstat, running_max = stat == TSTAT, stat == RUNNING_MAX
+    # Off the constant vectors T_n >= x iff S_n >= tstat_threshold(n, x) V_n(2).
+    levels = [tstat_threshold(n, x) for x in xs] if tstat else xs
+    v = float(_beta_norm(arr, 2.0 if tstat else b))
+    # Pair (i, j) has statistic S1_i + S2_j, or max(M1_i, S1_i + M2_j).
+    # Normalized magnitudes are finite and at most 1, so no statistic is
+    # NaN and a sorted search counts what _count_at would.
+    first, second = _halves(arr, 1 + running_max)
+    # The t route check finds its vectors through the sort order; the sum
+    # statistics skip the slower argsort.
+    order = np.argsort(second[0]) if tstat else None
+    keys = np.append(second[0][order] if tstat else np.sort(second[-1]), np.inf)
+    tails = []
+    for x, level in zip(xs, levels):
+        cut = tie_guarded(level) * v
+        start = _starts(first[0], keys, cut)
+        if running_max:
+            start[first[1] >= cut] = 0
+        hits = int((keys.size - 1 - start).sum())
+        tails.append(_tstat_tail(arr, x, cut, first[0], keys, order, start, hits) if tstat
+                     else ExactTail(hits=hits, total=1 << n))
+    return tails
+
+
+def exact_tail(
+    mags, beta: float, x: float, stat: str = RUNNING_MAX, workers: int | None = None
+) -> ExactTail:
+    """Exact tail probability of a self-normalized statistic by enumeration.
+
+    Counts sign vectors whose statistic reaches x: the running maximum of
+    prefix sums or the final sum against x * V_n(beta) (the same for every
+    sign vector), or Student's t against x, leaving out the constant
+    vectors, where t is undefined, and tallying them in degenerate.  The
+    returned hits/total ratio is the exact probability.
+
+    Args:
+        mags: nonnegative magnitudes, 1 <= len <= 30 (2 for tstat), at
+            least one positive; only their ratios matter.
+        beta: variation exponent > 1; checked and ignored under tstat.
+        x: threshold on the statistic's scale, > 0.
+        stat: "running_max", "final_sum" or "tstat".
+        workers: checked like estimate_tail's (default SELFNORM_THREADS or
+            1) and otherwise unused: enumeration always runs in one thread.
+    """
+    return exact_tail_multi(mags, beta, [x], stat, workers)[0]
+
+
+def exact_tstat_tail(mags, x: float, workers: int | None = None) -> ExactTail:
+    """Exact tail count of Student's t-statistic: exact_tail at stat "tstat"."""
+    return exact_tail_multi(mags, 2.0, [x], TSTAT, workers)[0]

@@ -160,11 +160,14 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
 
 
 def _format_cell(value) -> str:
+    """Text of a CSV cell or CLI value: None empty, floats at 12 digits."""
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -25,14 +25,12 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .bounds import BoundEvaluation, bound_bn, bound_tstat, tstat_threshold
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
-from .oracle import FINAL_SUM, RUNNING_MAX, tie_guarded
-from .oracle import _count_at, _magnitude_array, _resolve_workers
+from .bounds import tstat_threshold
+from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, tie_guarded
+from .oracle import _check_stat, _count_at, _magnitude_array, _resolve_workers
 
 __all__ = [
-    "TSTAT",
-    "STATS",
     "DistributionSpec",
     "TailEstimate",
     "LogRatePoint",
@@ -45,9 +43,6 @@ __all__ = [
     "efron_check",
     "empirical_log_rate",
 ]
-
-TSTAT = "tstat"
-STATS = (RUNNING_MAX, FINAL_SUM, TSTAT)
 
 # Two-sided 99% normal quantile used by the Wilson score interval.
 Z99 = float(ndtri(0.995))
@@ -198,13 +193,6 @@ def respects(estimate: TailEstimate, bound: float) -> bool:
     return estimate.p_hat <= bound + 3.0 * (estimate.ci_high - estimate.p_hat)
 
 
-def _bound_for(stat: str, n: int, beta: float, x: float) -> BoundEvaluation:
-    """The bound stat's tail at x is checked against (beta unused by tstat)."""
-    if stat == TSTAT:
-        return bound_tstat(n, x)
-    return bound_bn(n, beta, x)
-
-
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -334,9 +322,7 @@ def estimate_tail_multi(
     is then counted against the same statistic vector, so entry i equals
     estimate_tail(spec, n, beta, xs[i], stat, trials, seed, workers).
     """
-    if stat not in STATS:
-        raise ValueError(f"stat must be one of {STATS}, got {stat!r}")
-    n = _check_n(n, minimum=2 if stat == TSTAT else 1)
+    n = _check_stat(stat, n)
     b = _check_beta(beta)
     cuts = [tie_guarded(_check_x(x)) for x in xs]
     trials = _check_n(trials, name="trials")

@@ -31,8 +31,9 @@ from .bounds import (
     threshold_from_s,
     tstat_threshold,
 )
-from .oracle import FINAL_SUM, RUNNING_MAX, exact_tail, exact_tail_multi, tie_guarded
-from .simulate import DistributionSpec, _bound_for, efron_check, estimate_tail
+from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, exact_tail, exact_tail_multi, tie_guarded
+from .oracle import _bound_for
+from .simulate import DistributionSpec, efron_check, estimate_tail
 
 __all__ = ["SuiteFailure", "SUITES", "run_suites"]
 
@@ -360,7 +361,7 @@ def bound_respect() -> str:
                 cells.append((spec, stat, n, x, f"n={n} s={s}", 1000))
     for spec in (DistributionSpec.gaussian(), DistributionSpec.rademacher()):
         for x in (1.5, 2.5):
-            cells.append((spec, simulate.TSTAT, 10, x, f"x={x}", 2000))
+            cells.append((spec, TSTAT, 10, x, f"x={x}", 2000))
     for i, (spec, stat, n, x, where, base) in enumerate(cells):
         est = estimate_tail(spec, n, 2.0, x, stat, trials, seed=base + i)
         b = _bound_for(stat, n, 2.0, x).value
@@ -403,7 +404,7 @@ def determinism() -> str:
     outcomes = []
     for spec, stat, n, x in (
         (DistributionSpec.gaussian(), RUNNING_MAX, 12, 1.2),
-        (DistributionSpec.rademacher(), simulate.TSTAT, 6, 1.5),
+        (DistributionSpec.rademacher(), TSTAT, 6, 1.5),
     ):
         per_worker = [
             estimate_tail(spec, n, 2.0, x, stat, trials, seed=99, workers=w)

@@ -310,6 +310,13 @@ class TestBernstein:
     def test_lambda_star_infinite_at_endpoint(self):
         assert lambda_star(4, 2.0, 2.0) == math.inf
 
+    @pytest.mark.parametrize("n", [2**64, 10**20])
+    def test_n_past_64_bits(self, n):
+        # n as a Python int past 2^64 made the search's cell an object array.
+        result = bernstein_numeric(n, 2.0, 1.0)
+        assert result.log_objective == pytest.approx(bound_bn(n, 2.0, 1.0).log_value, rel=1e-9)
+        assert result.lambda_star == pytest.approx(lambda_star(n, 2.0, 1.0), rel=1e-6)
+
 
 class TestBernsteinBatch:
     # Extremes of the search: s down to 1e-300 and up to just below 1, a

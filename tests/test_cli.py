@@ -70,6 +70,15 @@ class TestBoundCommand:
         assert float(rec["lambda_star"]) == pytest.approx(math.log(3.0), rel=1e-6)
         assert float(rec["value"]) == pytest.approx(16.0 / 27.0, rel=1e-9)
 
+    def test_bernstein_kind_past_64_bits(self, capsys):
+        # A traceback and exit 1 before n was passed to the search as a float.
+        argv = ["bound", "--n", str(10**20), "--x", "1", "--kind", "bernstein"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        rec = record(out)
+        assert (rec["n"], rec["regime"], rec["log_value"]) == (str(10**20), "interior", "-0.5")
+        assert float(rec["value"]) == pytest.approx(math.exp(-0.5), rel=1e-11)
+
     def test_corollary_kind(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--n", "20", "--beta", "2", "--x", "2", "--kind", "corollary"

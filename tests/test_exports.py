@@ -30,3 +30,13 @@ def test_package_exports_are_the_submodules_exports():
 
     expected = bounds.__all__ + oracle.__all__ + report.__all__ + simulate.__all__
     assert selfnorm.__all__ == expected + verify.__all__
+
+
+def test_statistic_names_are_exported_once_from_the_oracle():
+    import selfnorm
+    from selfnorm import oracle, simulate
+
+    for name in ("STATS", "TSTAT"):
+        assert selfnorm.__all__.count(name) == 1
+        assert name in oracle.__all__ and name not in simulate.__all__
+    assert selfnorm.STATS == ("running_max", "final_sum", "tstat")

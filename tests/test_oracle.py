@@ -22,8 +22,10 @@ from selfnorm import (
     FINAL_SUM,
     MAX_ENUM_N,
     RUNNING_MAX,
+    TSTAT,
     DistributionSpec,
     ExactTail,
+    estimate_tail,
     exact_tail,
     exact_tail_multi,
     exact_tstat_tail,
@@ -385,6 +387,71 @@ class TestKernelCrossCheck:
         fin = exact_tail_multi([1.0] * n, beta, xs, FINAL_SUM)
         assert [t.hits for t in run] == [reflection_count(n, m) for m in cuts]
         assert [t.hits for t in fin] == [binomial_tail(n, m) for m in cuts]
+
+
+class TestTstatInSharedPass:
+    """exact_tail_multi counts Student's t in the pass of the sum statistics."""
+
+    XS = [1.5, 0.3, 2.4, 0.3, 1e-4, 0.8, 2.4]  # unsorted, with repeats
+
+    def vectors(self):
+        rng = np.random.default_rng(20261019)
+        vectors = [_drawn_magnitudes(rng, n) for n in range(2, 13)]
+        vectors += [[1.0] * n for n in range(2, 13)] + [[0.7] * 5]
+        # Equal to within 1e-11 relative: the all-plus vector's deviation
+        # cancels to rounding noise.
+        vectors.append([1.383983204 * (1.0 + 1e-11 * k) for k in (3, -2, 0, 1, -1, 2)])
+        return vectors
+
+    def test_equals_single_calls_and_brute_force(self):
+        for mags in self.vectors():
+            tails = exact_tail_multi(mags, 2.0, self.XS, TSTAT)
+            assert tails == [exact_tstat_tail(mags, x) for x in self.XS]
+            for x, tail in zip(self.XS, tails):
+                assert tail.total == 1 << len(mags)
+                assert (tail.hits, tail.degenerate) == brute_tstat(list(mags), x), (mags, x)
+
+    def test_exact_tail_takes_tstat(self):
+        for mags in self.vectors()[::3]:
+            assert exact_tail(mags, 2.0, 0.8, TSTAT) == exact_tstat_tail(mags, 0.8)
+
+    @pytest.mark.parametrize("mags", [[1.0, 1.0 + 1e-9], [3.0, 3.0 * (1 + 1e-10), 3.0, 3.0]])
+    def test_route_abort_at_one_of_several_thresholds(self, mags):
+        with pytest.raises(RuntimeError, match="disagree"):
+            exact_tail(mags, 2.0, 1e12, TSTAT)
+        with pytest.raises(RuntimeError, match="disagree"):
+            exact_tail_multi(mags, 2.0, [0.5, 1e3, 1e12, 1e7], TSTAT)
+        good = exact_tail_multi(mags, 2.0, [0.5, 1e3, 1e7, 1e8], TSTAT)
+        assert [(t.hits, t.degenerate) for t in good] == [
+            brute_tstat(mags, x) for x in (0.5, 1e3, 1e7, 1e8)
+        ]
+
+    def test_beta_is_checked_then_ignored(self):
+        mags = np.random.default_rng(5).uniform(0.1, 2.0, 9)
+        want = exact_tail_multi(mags, 2.0, self.XS, TSTAT)
+        for beta in (1.0001, 1.5, 3.0, 1e6):
+            assert exact_tail_multi(mags, beta, self.XS, TSTAT) == want
+        for beta in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be a finite real > 1"):
+                exact_tail(mags, beta, 1.0, TSTAT)
+
+    def test_needs_two_observations(self):
+        for call in (
+            lambda: exact_tail([1.0], 2.0, 1.0, TSTAT),
+            lambda: exact_tail_multi([1.0], 2.0, [1.0, 2.0], TSTAT),
+            lambda: exact_tstat_tail([1.0], 1.0),
+        ):
+            with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+                call()
+
+    def test_one_stat_check_for_oracle_and_monte_carlo(self):
+        with pytest.raises(ValueError) as from_oracle:
+            exact_tail([1.0, 1.0], 2.0, 1.0, "median")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(from_oracle.value))}$"):
+            estimate_tail(DistributionSpec.rademacher(), 2, 2.0, 1.0, "median", 10)
+        assert str(from_oracle.value) == (
+            "stat must be one of ('running_max', 'final_sum', 'tstat'), got 'median'"
+        )
 
 
 class TestBoundedMemory:

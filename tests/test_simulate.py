@@ -26,11 +26,10 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
+from selfnorm.oracle import STATS, _bound_for
 from selfnorm.simulate import (
-    STATS,
     Z99,
     TailEstimate,
-    _bound_for,
     _doubles_per_trial,
     _draw_values,
     _statistic,

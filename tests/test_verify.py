@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from selfnorm import bounds, report, simulate, verify
+from selfnorm import bounds, oracle, report, verify
 from selfnorm.verify import SuiteFailure
 
 
@@ -45,7 +45,7 @@ class TestBoundRespect:
         assert seeds == list(range(1000, 1020)) + list(range(2020, 2024))
 
     def test_sum_statistic_failure_message(self, monkeypatch):
-        monkeypatch.setattr(simulate, "bound_bn", _tiny(bounds.bound_bn))
+        monkeypatch.setattr(oracle, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
@@ -54,7 +54,7 @@ class TestBoundRespect:
         )
 
     def test_tstat_failure_message(self, monkeypatch):
-        monkeypatch.setattr(simulate, "bound_tstat", _tiny(bounds.bound_tstat))
+        monkeypatch.setattr(oracle, "bound_tstat", _tiny(bounds.bound_tstat))
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
@@ -74,7 +74,7 @@ class TestOracleBelowBound:
         ],
     )
     def test_failure_message(self, monkeypatch, suite, message):
-        monkeypatch.setattr(simulate, "bound_bn", _tiny(bounds.bound_bn))
+        monkeypatch.setattr(oracle, "bound_bn", _tiny(bounds.bound_bn))
         with pytest.raises(SuiteFailure) as failure:
             suite()
         assert str(failure.value) == message
