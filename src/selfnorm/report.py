@@ -161,12 +161,12 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
 
 def _format_cell(value) -> str:
     """Text of a CSV cell or CLI value: None empty, floats at 12 digits."""
+    if isinstance(value, float):  # first: most sweep cells are floats
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
