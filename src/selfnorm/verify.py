@@ -32,7 +32,6 @@ from .bounds import (
     tstat_threshold,
 )
 from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, exact_tail, exact_tail_multi, tie_guarded
-from .oracle import _bound_for
 from .simulate import DistributionSpec, efron_check, estimate_tail
 
 __all__ = ["SuiteFailure", "SUITES", "run_suites"]
@@ -228,7 +227,7 @@ def _oracle_cells(vectors):
             xs = [threshold_from_s(n, beta, s) for s in _ORACLE_S]
             tails = exact_tail_multi(mags, beta, xs, RUNNING_MAX)
             for s, x, tail in zip(_ORACLE_S, xs, tails):
-                yield n, beta, s, tail.probability, _bound_for(RUNNING_MAX, n, beta, x).value
+                yield n, beta, s, tail.probability, oracle._bound_for(RUNNING_MAX, n, beta, x).value
 
 
 def oracle_below_bound() -> str:
@@ -364,7 +363,7 @@ def bound_respect() -> str:
             cells.append((spec, TSTAT, 10, x, f"x={x}", 2000))
     for i, (spec, stat, n, x, where, base) in enumerate(cells):
         est = estimate_tail(spec, n, 2.0, x, stat, trials, seed=base + i)
-        b = _bound_for(stat, n, 2.0, x).value
+        b = oracle._bound_for(stat, n, 2.0, x).value
         margin = 3.0 * (est.ci_high - est.p_hat)
         _require(
             simulate.respects(est, b),
