@@ -7,7 +7,11 @@ trials, all on one thread.  Two stages are also timed on their own, one
 block each: simulate._draw_values (the Philox words and the magnitude and
 sign transform) per law, and simulate._statistic (the reduction) per
 statistic on the Gaussian block, so the share of the half-normal quantile
-in a Gaussian draw shows.  Rates go under a label in BENCH_montecarlo.json
+in a Gaussian draw shows.  A third kind of record times run_sweep, with two
+threads, on the grids of the benchmark's `sweep` workload: one grid per
+n = 12, 16, 17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher
+trials, so the Monte Carlo stream and the enumeration an n shares across
+its betas show.  Rates go under a label in BENCH_montecarlo.json
 with the core count, the numpy version, the git sha of the measured source
 tree and a sha256 of its selfnorm sources.  Other labels in the file are
 kept, so two source trees can be recorded side by side:
@@ -15,8 +19,9 @@ kept, so two source trees can be recorded side by side:
     python benchmarks/montecarlo.py --label change
     python benchmarks/montecarlo.py --label parent --src /path/to/parent/src
 
-Each estimate record carries its hit count and each stage record a sha256
-of the arrays it returned, so the two trees can be checked for equal
+Each estimate record carries its hit count, each stage record a sha256
+of the arrays it returned and each run_sweep record a sha256 of its
+rendered CSV, so the two trees can be checked for equal
 output as well as compared for speed: the script exits 1 when a hit count
 or a digest differs from the same record under another label.  The
 parser, the timing loop and the writer are shared in record.py.
@@ -35,6 +40,9 @@ BIG_N, BIG_TRIALS = 1000, 5_000
 SEED = 20160601
 # Each record repeats its call for this long and keeps the fastest.
 MIN_SECONDS = 1.0
+# The `sweep` workload's grids (bench/workloads.py), at fixed s levels.
+SWEEP_N, SWEEP_BETAS, SWEEP_TRIALS, SWEEP_WORKERS = (12, 16, 17), (1.5, 2.0), 65_536, 2
+SWEEP_S = tuple((k + 0.5) / 10 for k in range(10))
 
 
 def _laws(sn) -> dict:
@@ -109,6 +117,28 @@ def _stage_records(sn, laws: dict) -> list[dict]:
     return records
 
 
+def _sweep_record(sn, n: int) -> dict:
+    rademacher = sn.DistributionSpec.rademacher()
+    grid = sn.SweepGrid((n,), SWEEP_BETAS, SWEEP_S, sn.RUNNING_MAX, rademacher, SWEEP_TRIALS, SEED)
+    best, median, calls, rows = record.timed(
+        lambda: sn.run_sweep(grid, workers=SWEEP_WORKERS), MIN_SECONDS
+    )
+    return {
+        "stage": "run_sweep",
+        "law": "rademacher",
+        "stat": sn.RUNNING_MAX,
+        "n": n,
+        "betas": list(SWEEP_BETAS),
+        "levels": len(SWEEP_S),
+        "trials": SWEEP_TRIALS,
+        "workers": SWEEP_WORKERS,
+        "calls": calls,
+        "best_s": best,
+        "median_s": median,
+        "digest": hashlib.sha256(sn.render_csv(rows).encode()).hexdigest(),
+    }
+
+
 def _key(rec: dict) -> tuple:
     return (rec.get("stage", "estimate"), rec["law"], rec.get("stat"), rec["n"])
 
@@ -130,8 +160,12 @@ def main(argv: list[str] | None = None) -> int:
             _estimate_record(sn, "gaussian", laws["gaussian"], BIG_N, sn.RUNNING_MAX, BIG_TRIALS)
         )
         records += _stage_records(sn, laws)
+    records += [_sweep_record(sn, n) for n in SWEEP_N]
     for rec in records:
-        if "stage" in rec:
+        if rec.get("stage") == "run_sweep":
+            print(f"{'run_sweep':<22} {rec['law']:<11} n={rec['n']:<5} "
+                  f"{rec['best_s'] * 1e3:9.2f} ms per call")
+        elif "stage" in rec:
             print(
                 f"{rec['stage']:<22} {rec['law']:<11} n={rec['n']:<5} "
                 f"{rec['best_s'] * 1e3:9.2f} ms per block"
@@ -143,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
             )
     return record.write(
         args,
-        "trials/s (estimates) and s per block (stages), fastest call, one thread",
+        "trials/s (estimates), s per block (stages) and s per call (run_sweep), fastest call, "
+        "one thread (run_sweep two)",
         records,
         key=_key,
         output=lambda rec: rec.get("hits", rec.get("digest")),

@@ -145,6 +145,15 @@ def _bound_for(stat: str, n: int, beta: float, x: float) -> BoundEvaluation:
     return bound_tstat(n, x) if stat == TSTAT else bound_bn(n, beta, x)
 
 
+def _check_betas(beta, count: int) -> list[float]:
+    """beta checked as one float for all count thresholds, or one per threshold."""
+    if np.ndim(beta) == 0:
+        return [_check_beta(beta)] * count
+    if len(beta) != count:
+        raise ValueError(f"beta must be one value or one per threshold ({count}), got {len(beta)}")
+    return [_check_beta(b) for b in beta]
+
+
 def _resolve_workers(workers: int | None) -> int:
     """Block threads: workers, else SELFNORM_THREADS, else 1."""
     if workers is None:
@@ -273,16 +282,20 @@ def _tstat_tail(arr, x: float, cut: float, sums1, keys, order, start, hits: int)
 def exact_tail_multi(
     mags, beta: float, xs, stat: str = RUNNING_MAX, workers: int | None = None
 ) -> list[ExactTail]:
-    """exact_tail at several thresholds sharing one enumeration pass."""
+    """exact_tail at several thresholds sharing one enumeration pass; beta is one
+    float or one per threshold, and only the cut x V_n(beta) depends on it."""
     arr = _check_magnitudes(mags)
-    b = _check_beta(beta)
+    xs = list(xs)
+    bs = _check_betas(beta, len(xs))
     n = _check_stat(stat, arr.size)
     _resolve_workers(workers)
     xs = [_check_x(x) for x in xs]
+    if not xs:
+        return []
     tstat, running_max = stat == TSTAT, stat == RUNNING_MAX
     # Off the constant vectors T_n >= x iff S_n >= tstat_threshold(n, x) V_n(2).
     levels = [tstat_threshold(n, x) for x in xs] if tstat else xs
-    v = float(_beta_norm(arr, 2.0 if tstat else b))
+    norms = {b: float(_beta_norm(arr, 2.0 if tstat else b)) for b in set(bs)}
     # Pair (i, j) has statistic S1_i + S2_j, or max(M1_i, S1_i + M2_j).
     # Normalized magnitudes are finite and at most 1, so no statistic is
     # NaN and a sorted search counts what _count_at would.
@@ -292,8 +305,8 @@ def exact_tail_multi(
     order = np.argsort(second[0]) if tstat else None
     keys = np.append(second[0][order] if tstat else np.sort(second[-1]), np.inf)
     tails = []
-    for x, level in zip(xs, levels):
-        cut = tie_guarded(level) * v
+    for x, level, b in zip(xs, levels, bs):
+        cut = tie_guarded(level) * norms[b]
         start = _starts(first[0], keys, cut)
         if running_max:
             start[first[1] >= cut] = 0

@@ -62,7 +62,8 @@ class SweepGrid:
     """Grid of sweep cells plus the estimation settings shared by all cells.
 
     stat must be a sum statistic ("running_max" or "final_sum"); trials = 0
-    turns the Monte Carlo columns off.  Each n and beta is checked here, once.
+    turns the Monte Carlo columns off.  Each n and beta is checked here, once,
+    and may not repeat.
     """
 
     n_values: tuple[int, ...]
@@ -76,10 +77,10 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not self.n_values or not self.beta_values or not self.s_values:
             raise ValueError("sweep grid axes must be non-empty")
-        for n in self.n_values:
-            _check_n(n)
-        for beta in self.beta_values:
-            _check_beta(beta)
+        for axis, values, check in (("n", self.n_values, _check_n),
+                                    ("beta", self.beta_values, _check_beta)):
+            if len({check(value) for value in values}) < len(values):
+                raise ValueError(f"sweep {axis} values must not repeat")
         if self.stat not in (RUNNING_MAX, FINAL_SUM):
             raise ValueError(
                 f"sweep stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {self.stat!r}"
@@ -95,8 +96,8 @@ class SweepGrid:
 def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """Evaluate every grid cell; returns one flat record per cell.
 
-    Each (n, beta) pair runs one enumeration and one Monte Carlo stream for
-    all its s values, and one batched search fills the numeric minimization
+    Each n runs one enumeration and one Monte Carlo stream for all its beta
+    and s values, and one batched search fills the numeric minimization
     of every interior cell of the grid.  Unavailable entries (enumeration
     over the budget, random-magnitude laws, endpoint cells for the numeric
     minimizer, Monte Carlo turned off) are None.  The worker count is resolved before any
@@ -105,7 +106,6 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     workers = _resolve_workers(workers)
     dist = grid.dist
     levels = np.asarray(grid.s_values, dtype=float)
-    blank = [None] * len(grid.s_values)
     rows = []
     interior = []  # per row, whether the numeric search fills it (s < 1)
     search = []  # the search's n, n^(1/beta), x and s of those rows, per (n, beta)
@@ -115,6 +115,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
             # A fixed magnitude vector of another length leaves the column blank.
             with contextlib.suppress(ValueError):
                 mags = dist.exact_magnitudes(n)
+        betas, xs, bns, corollary = [], [], [], []  # per row of n, in (beta, s) order
         for beta in grid.beta_values:
             b = float(beta)
             x = levels * _endpoint(n, b)  # the float multiply of threshold_from_s
@@ -124,35 +125,36 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
             n1b = float(n) ** (1.0 / b)
             search.append([np.full(k, float(n)), np.full(k, n1b), x[below], s[below]])
             interior += below.tolist()
-            xs = x.tolist()
-            exact = blank
-            if mags is not None:
-                tails = exact_tail_multi(mags, beta, xs, grid.stat, workers)
-                exact = [tail.probability for tail in tails]
-            estimates = blank
-            if grid.trials > 0:
-                estimates = estimate_tail_multi(
-                    dist, n, beta, xs, grid.stat, grid.trials, grid.seed, workers
-                )
-            corollary = _libm(math.exp, _corollary_log(n, b, x)).tolist()
-            for level, threshold, bound, cor, probability, est in zip(
-                grid.s_values, xs, bn.tolist(), corollary, exact, estimates
-            ):
-                rows.append({
-                    "n": n,
-                    "beta": beta,
-                    "s": level,
-                    "x": threshold,
-                    "bound_bn": bound,
-                    "bound_corollary": cor,
-                    "bernstein_numeric": None,
-                    "oracle_exact": probability,
-                    "mc_p_hat": None if est is None else est.p_hat,
-                    "mc_ci_low": None if est is None else est.ci_low,
-                    "mc_ci_high": None if est is None else est.ci_high,
-                    "trials": grid.trials,
-                    "seed": grid.seed,
-                })
+            betas += [beta] * x.size
+            xs += x.tolist()
+            bns += bn.tolist()
+            corollary += _libm(math.exp, _corollary_log(n, b, x)).tolist()
+        exact = estimates = [None] * len(xs)
+        if mags is not None:
+            tails = exact_tail_multi(mags, betas, xs, grid.stat, workers)
+            exact = [tail.probability for tail in tails]
+        if grid.trials > 0:
+            estimates = estimate_tail_multi(
+                dist, n, betas, xs, grid.stat, grid.trials, grid.seed, workers
+            )
+        for beta, level, threshold, bound, cor, probability, est in zip(
+            betas, itertools.cycle(grid.s_values), xs, bns, corollary, exact, estimates
+        ):
+            rows.append({
+                "n": n,
+                "beta": beta,
+                "s": level,
+                "x": threshold,
+                "bound_bn": bound,
+                "bound_corollary": cor,
+                "bernstein_numeric": None,
+                "oracle_exact": probability,
+                "mc_p_hat": None if est is None else est.p_hat,
+                "mc_ci_low": None if est is None else est.ci_low,
+                "mc_ci_high": None if est is None else est.ci_high,
+                "trials": grid.trials,
+                "seed": grid.seed,
+            })
     _, log_objective, _ = _bernstein_search(*np.concatenate(search, axis=1))
     for row, value in zip(itertools.compress(rows, interior), log_objective):
         row["bernstein_numeric"] = math.exp(value)  # bernstein_numeric's objective_value

@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
 from .bounds import tstat_threshold
 from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, tie_guarded
-from .oracle import _check_stat, _count_at, _magnitude_array, _resolve_workers
+from .oracle import _check_betas, _check_stat, _count_at, _magnitude_array, _resolve_workers
 
 __all__ = [
     "DistributionSpec",
@@ -284,20 +284,27 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
     return _transform(spec, stream.bit_generator.random_raw((1, 2 * n)), n)[0]
 
 
-def _statistic(vals: np.ndarray, stat: str, b: float):
-    """Per-row (degenerate mask, statistic) of a block of samples; degenerate
-    rows (zero sample deviation, or V_n(b) = 0) hold garbage."""
+def _statistics(vals: np.ndarray, stat: str, betas) -> list:
+    """Per-row (degenerate mask, statistic) of a block of samples for each b in
+    betas, whose numerator is reduced once; degenerate rows hold garbage."""
     if stat == TSTAT:
         degenerate = (vals == vals[:, :1]).all(axis=1)
         means = vals.mean(axis=1)
         dev = vals - means[:, None]
         dev **= 2
         ss = dev.sum(axis=1)
-        return degenerate, _t_value(vals.shape[1], means, ss)
-    v = _beta_norm(vals, b)
-    degenerate = v == 0.0
+        return [(degenerate, _t_value(vals.shape[1], means, ss))] * len(betas)
     sums = np.cumsum(vals, axis=1).max(axis=1) if stat == RUNNING_MAX else vals.sum(axis=1)
-    return degenerate, sums / np.where(degenerate, 1.0, v)
+    pairs = []
+    for b in betas:
+        v = _beta_norm(vals, b)
+        degenerate = v == 0.0
+        pairs.append((degenerate, sums / np.where(degenerate, 1.0, v)))
+    return pairs
+
+
+def _statistic(vals: np.ndarray, stat: str, b: float):
+    return _statistics(vals, stat, (b,))[0]
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -318,25 +325,34 @@ def estimate_tail_multi(
 ) -> list[TailEstimate]:
     """estimate_tail at several thresholds sharing one Monte Carlo stream.
 
-    Each block is drawn and reduced to its statistic once; every threshold
-    is then counted against the same statistic vector, so entry i equals
-    estimate_tail(spec, n, beta, xs[i], stat, trials, seed, workers).
+    beta is one float or one per threshold.  Each block is drawn once and
+    reduced once per distinct beta; every threshold is then counted against
+    its beta's statistic vector, so entry i equals
+    estimate_tail(spec, n, beta[i], xs[i], stat, trials, seed, workers).
     """
     n = _check_stat(stat, n)
-    b = _check_beta(beta)
+    xs = list(xs)
+    bs = _check_betas(beta, len(xs))
     cuts = [tie_guarded(_check_x(x)) for x in xs]
     trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
+    if not cuts:
+        return []
+    distinct = list(dict.fromkeys(bs))
+    groups = [[i for i, b in enumerate(bs) if b == d] for d in distinct]
 
     def count_block(lo: int, hi: int) -> np.ndarray:
-        degenerate, stats = _statistic(_draw_values(spec, n, seed, lo, hi), stat, b)
-        return np.append(_count_at(stats[~degenerate], cuts), degenerate.sum())
+        counts = np.empty((2, len(cuts)), dtype=np.int64)  # hits, degenerate
+        pairs = _statistics(_draw_values(spec, n, seed, lo, hi), stat, distinct)
+        for (degenerate, stats), group in zip(pairs, groups):
+            counts[0, group] = _count_at(stats[~degenerate], [cuts[i] for i in group])
+            counts[1, group] = degenerate.sum()
+        return counts
 
-    *hits, degenerate = sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
-    degenerate = int(degenerate)
+    counts = sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
     estimates = []
-    for h in map(int, hits):
+    for h, degenerate in counts.T.tolist():
         low, high = wilson_interval(h, trials)
         estimates.append(TailEstimate(h, trials, h / trials, low, high, seed, degenerate))
     return estimates

@@ -413,6 +413,14 @@ class TestSweepCommand:
         assert run_cli(capsys, *"sweep --n 4 --s 0.5 --stat tstat".split())[0] == 2
         assert run_cli(capsys, *"sweep --n four --s 0.5".split())[0] == 2
 
+    @pytest.mark.parametrize(
+        "axis, argv",
+        [("n", "sweep --n 4,4 --s 0.5 --trials 0"), ("beta", "sweep --n 4 --beta 2,2.0 --s 0.5")],
+    )
+    def test_repeated_axis_values_rejected(self, capsys, axis, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out, err) == (2, "", f"error: sweep {axis} values must not repeat\n")
+
     def test_nan_level_rejected_by_the_grid(self, capsys):
         code, out, err = run_cli(capsys, *"sweep --n 4 --s nan".split())
         assert (code, out, err) == (2, "", "error: sweep s values must lie in (0, 1]\n")

@@ -454,6 +454,58 @@ class TestTstatInSharedPass:
         )
 
 
+class TestPerThresholdBeta:
+    """exact_tail_multi with one beta per threshold shares the halves and the
+    sort, and must equal one exact_tail call per (beta, x)."""
+
+    # Unsorted, with repeated thresholds and exponents and one (beta, x)
+    # pair given twice.
+    XS = [1.5, 0.3, 2.4, 0.3, 1e-4, 0.8, 2.4, 0.3]
+    BETAS = [2.0, 1.5, 3.0, 1.5, 1.2, 2.0, 1.5, 3.0]
+
+    def vectors(self):
+        rng = np.random.default_rng(20261020)
+        vectors = [_drawn_magnitudes(rng, n) for n in range(2, 15)]
+        return vectors + [[1.0] * n for n in (2, 7, 12)] + [[0.0, 2.5, 1.0, 0.0, 4.0]]
+
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM, TSTAT])
+    def test_equals_single_calls(self, stat):
+        for mags in self.vectors():
+            tails = exact_tail_multi(mags, self.BETAS, self.XS, stat)
+            assert tails == [exact_tail(mags, b, x, stat) for b, x in zip(self.BETAS, self.XS)]
+            if stat != TSTAT:
+                for b, x, tail in zip(self.BETAS, self.XS, tails):
+                    assert tail.hits == brute_tail(list(mags), b, x, stat), (mags, b, x)
+
+    @pytest.mark.parametrize(
+        "betas, message",
+        [
+            ([2.0], "beta must be one value or one per threshold (3), got 1"),
+            ((2.0,) * 4, "beta must be one value or one per threshold (3), got 4"),
+            ([0.5, 2.0, 2.0], "beta must be a finite real > 1, got 0.5"),
+            ([2.0, math.inf, 2.0], "beta must be a finite real > 1, got inf"),
+            ((2.0, 2.0, 1.0), "beta must be a finite real > 1, got 1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, TSTAT])
+    def test_rejects_bad_beta_lists(self, betas, message, stat):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exact_tail_multi([1.0, 2.0, 0.5], betas, [0.5, 1.0, 1.5], stat)
+
+    def test_empty_thresholds_enumerate_nothing(self, monkeypatch):
+        def no_halves(*args):
+            raise AssertionError("enumerated for no threshold")
+
+        monkeypatch.setattr(oracle, "_halves", no_halves)
+        assert exact_tail_multi([1.0] * 20, 2.0, []) == []
+        assert exact_tail_multi([1.0] * 20, [], [], TSTAT) == []
+        # The arguments are still checked first.
+        with pytest.raises(ValueError, match="^beta must be a finite real > 1, got 0.5$"):
+            exact_tail_multi([1.0] * 20, 0.5, [])
+        with pytest.raises(ValueError, match="budget"):
+            exact_tail_multi([1.0] * (MAX_ENUM_N + 1), 2.0, [])
+
+
 class TestBoundedMemory:
     # Each half holds at most 2^15 states up to the budget; the ceiling is fixed.
     CEILING = 8 << 20

@@ -21,6 +21,7 @@ from selfnorm import (
     run_sweep,
     threshold_from_s,
 )
+from selfnorm import simulate
 
 S_VALUES = (0.1, 0.35, 0.6, 1.0)
 LAWS = [
@@ -55,6 +56,37 @@ def test_rows_equal_single_threshold_calls(dist, stat):
                     est.ci_high,
                 )
     assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+def test_rows_equal_the_grid_split_by_beta(dist, stat):
+    # One enumeration and one Monte Carlo stream per n serve every beta; the
+    # rows must be those of one single-beta grid per beta, in (n, beta, s) order.
+    n_values = (6,) if dist.kind == "fixed_magnitudes" else (9, 3, 6)
+    betas = (3.0, 1.5, 2.0)
+    grid = SweepGrid(n_values, betas, S_VALUES, stat, dist, trials=40000, seed=8)
+    split = {
+        beta: iter(run_sweep(SweepGrid(n_values, (beta,), S_VALUES, stat, dist, 40000, 8)))
+        for beta in betas
+    }
+    want = [next(split[beta]) for n in n_values for beta in betas for s in S_VALUES]
+    assert run_sweep(grid, workers=2) == want
+
+
+def test_one_monte_carlo_stream_per_n(monkeypatch):
+    draws = []
+    draw = simulate._draw_values
+
+    def counting(spec, n, seed, lo, hi):
+        draws.append(n)
+        return draw(spec, n, seed, lo, hi)
+
+    monkeypatch.setattr(simulate, "_draw_values", counting)
+    grid = SweepGrid((4, 6, 9), (1.5, 2.0, 3.0), S_VALUES, dist=DistributionSpec.gaussian(),
+                     trials=1000)
+    assert len(run_sweep(grid)) == 36
+    assert draws == [4, 6, 9]
 
 
 def test_bernstein_column_equals_one_cell_calls():
@@ -125,6 +157,20 @@ def test_grid_rejects_bad_axis_values(n_values, beta_values, message):
     # Each axis value is checked once, when the grid is built, with the
     # message the one-cell bound functions give.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepGrid(n_values, beta_values, (0.5,), trials=0)
+
+
+@pytest.mark.parametrize(
+    "n_values, beta_values, message",
+    [
+        ((4, 4), (2.0,), "sweep n values must not repeat"),
+        ((4, 8, 16, 8), (2.0,), "sweep n values must not repeat"),
+        ((4,), (2.0, 2.0), "sweep beta values must not repeat"),
+        ((4,), (1.5, 2, 3.0, 2.0), "sweep beta values must not repeat"),
+    ],
+)
+def test_grid_rejects_repeated_axis_values(n_values, beta_values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         SweepGrid(n_values, beta_values, (0.5,), trials=0)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo estimator and its counter-based streams."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from selfnorm import (
     v_norm,
     wilson_interval,
 )
+from selfnorm import simulate
 from selfnorm.oracle import STATS, _bound_for
 from selfnorm.simulate import (
     Z99,
@@ -402,12 +404,99 @@ class TestEstimateTailMulti:
     def test_empty_thresholds(self):
         assert estimate_tail_multi(DistributionSpec.gaussian(), 4, 2.0, [], trials=100) == []
 
+    def test_empty_thresholds_draw_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a block for no threshold")
+
+        monkeypatch.setattr(simulate, "_draw_values", no_draw)
+        spec = DistributionSpec.gaussian()
+        assert estimate_tail_multi(spec, 20, 2.0, [], trials=200_000) == []
+        assert estimate_tail_multi(spec, 20, [], [], trials=200_000) == []
+        # The arguments are still checked first.
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+            estimate_tail_multi(spec, 20, 2.0, [], trials=0)
+        with pytest.raises(ValueError, match="^beta must be a finite real > 1, got 0.5$"):
+            estimate_tail_multi(spec, 20, 0.5, [], trials=100)
+
     def test_validation(self):
         spec = DistributionSpec.rademacher()
         with pytest.raises(ValueError):
             estimate_tail_multi(spec, 4, 2.0, [1.0, 0.0], RUNNING_MAX, 100)
         with pytest.raises(ValueError):
             estimate_tail_multi(DistributionSpec.fixed([1.0, 2.0]), 3, 2.0, [1.0], FINAL_SUM, 100)
+
+
+class TestPerThresholdBeta:
+    """estimate_tail_multi with one beta per threshold draws each block once
+    and must equal one single-threshold call per (beta, x), field by field."""
+
+    # Unsorted, with repeated thresholds and repeated exponents, and one
+    # (beta, x) pair given twice.
+    XS = (0.9, 0.2, 1.6, 0.9, 0.05, 9.0, 0.2, 0.6)
+    BETAS = (2.0, 1.5, 3.0, 1.5, 1.2, 2.0, 1.5, 3.0)
+    # 1e-200 magnitudes make V_n(2) underflow to 0 but not V_n(1.2), so the
+    # degenerate count differs between exponents.
+    LAWS = TestEstimateTailMulti.LAWS + [DistributionSpec.fixed([1e-200, 3e-200, 2e-200])]
+
+    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{s.kind}-{s.tail_index}")
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM, TSTAT])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_single_calls(self, spec, stat, workers):
+        n = 3 if spec.kind == "fixed_magnitudes" else 5
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            # pareto(0.01) overflows to NaN statistics, as in TestEstimateTailMulti.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            multi = estimate_tail_multi(spec, n, self.BETAS, self.XS, stat, 40000, 21, workers)
+            single = [
+                estimate_tail(spec, n, b, x, stat, 40000, 21, workers)
+                for b, x in zip(self.BETAS, self.XS)
+            ]
+        assert multi == single
+
+    def test_degenerate_count_is_per_beta(self):
+        # V_n is formed without rescaling (ROADMAP item 3), so it underflows
+        # at beta = 2 only; while it does, each exponent has its own count.
+        spec = DistributionSpec.fixed([1e-200, 3e-200, 2e-200])
+        multi = estimate_tail_multi(spec, 3, [2.0, 1.2], [0.5, 0.5], FINAL_SUM, 1000, 3)
+        assert [est.degenerate_count for est in multi] == [1000, 0]
+
+    def test_any_sequence_type(self):
+        spec = DistributionSpec.uniform()
+        want = estimate_tail_multi(spec, 6, [1.5, 2.0], [0.4, 0.7], RUNNING_MAX, 3000, 2)
+        for betas in ((1.5, 2.0), np.array([1.5, 2.0])):
+            assert estimate_tail_multi(spec, 6, betas, (0.4, 0.7), RUNNING_MAX, 3000, 2) == want
+
+    def test_one_draw_per_block_whatever_the_betas(self, monkeypatch):
+        calls = []
+        draw = simulate._draw_values
+
+        def counting(*args):
+            calls.append(args[3:])
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_values", counting)
+        betas = [1.5, 2.0, 3.0] * 3
+        estimate_tail_multi(DistributionSpec.gaussian(), 8, betas, [0.5] * 9, FINAL_SUM, 70000)
+        assert calls == [(0, 32768), (32768, 65536), (65536, 70000)]
+
+    @pytest.mark.parametrize(
+        "betas, message",
+        [
+            ([2.0], "beta must be one value or one per threshold (3), got 1"),
+            ([2.0] * 4, "beta must be one value or one per threshold (3), got 4"),
+            ([0.5, 2.0, 2.0], "beta must be a finite real > 1, got 0.5"),
+            ([2.0, math.nan, 2.0], "beta must be a finite real > 1, got nan"),
+            ([2.0, 2.0, 1.0], "beta must be a finite real > 1, got 1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, TSTAT])
+    def test_rejects_bad_beta_lists(self, betas, message, stat):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_tail_multi(DistributionSpec.rademacher(), 4, betas, [0.5, 1.0, 1.5], stat, 100)
+
+    def test_rejects_a_list_for_no_threshold(self):
+        with pytest.raises(ValueError, match=re.escape("one per threshold (0), got 1")):
+            estimate_tail_multi(DistributionSpec.rademacher(), 4, [2.0], [], RUNNING_MAX, 100)
 
 
 class TestTransformScales:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -13,6 +14,33 @@ from selfnorm.verify import SuiteFailure
 def _tiny(evaluate):
     """evaluate with its value replaced by 1e-300, so every cell fails."""
     return lambda *args: dataclasses.replace(evaluate(*args), value=1e-300)
+
+
+def _term_by_term(n, beta, x):
+    """bound_bn with its interior log written term by term,
+    -n log 2 + n log(sqrt t + 1/sqrt t) - n^(1/beta) x log(t) / 2, which
+    cancels n log 2 down to about n s^2 / 2 and loses digits as n grows."""
+    evaluation = bounds.bound_bn(n, beta, x)
+    if evaluation.regime != bounds.INTERIOR:
+        return evaluation
+    t = (1.0 + evaluation.s) / (1.0 - evaluation.s)
+    rt = math.sqrt(t)
+    log_value = (-n * math.log(2.0) + n * math.log(rt + 1.0 / rt)
+                 - 0.5 * float(n) ** (1.0 / beta) * x * math.log(t))
+    return dataclasses.replace(evaluation, log_value=log_value, value=math.exp(log_value))
+
+
+class TestFormEquivalence:
+    def test_passes_with_large_n_cells(self):
+        assert verify.form_equivalence().endswith(" over 1606 cells")
+
+    def test_sees_large_n_precision_loss(self, monkeypatch):
+        # The term-by-term product form gives 0.368 for 0.607 at n = 10^16,
+        # x = 1, yet agrees with the entropy form on the n <= 64 grid.
+        assert _term_by_term(10**16, 2.0, 1.0).value == pytest.approx(0.368, abs=1e-3)
+        monkeypatch.setattr(verify, "bound_bn", _term_by_term)
+        with pytest.raises(SuiteFailure, match="^forms disagree at n=1000000 beta=2.0 s="):
+            verify.form_equivalence()
 
 
 class TestSweepRoundTrip:
