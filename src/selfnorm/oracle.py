@@ -147,7 +147,7 @@ def _bound_for(stat: str, n: int, beta: float, x: float) -> BoundEvaluation:
 
 def _check_betas(beta, count: int) -> list[float]:
     """beta checked as one float for all count thresholds, or one per threshold."""
-    if np.ndim(beta) == 0:
+    if np.isscalar(beta) or np.ndim(beta) == 0:  # np.isscalar: the cheap test for a float
         return [_check_beta(beta)] * count
     if len(beta) != count:
         raise ValueError(f"beta must be one value or one per threshold ({count}), got {len(beta)}")

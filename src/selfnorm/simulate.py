@@ -286,7 +286,8 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
 
 def _statistics(vals: np.ndarray, stat: str, betas) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
-    betas, whose numerator is reduced once; degenerate rows hold garbage."""
+    betas, the numerator reduced once; degenerate rows (zero sample deviation,
+    or V_n(b) = 0) hold garbage."""
     if stat == TSTAT:
         degenerate = (vals == vals[:, :1]).all(axis=1)
         means = vals.mean(axis=1)
