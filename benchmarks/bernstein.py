@@ -15,9 +15,10 @@ Modes:
 
 - "per_cell": a loop of one-cell bernstein_numeric calls;
 - "batched": one call of bounds._bernstein_search over all the cells, from
-  their (n, beta, x) triples, on either signature of the search (a cell
-  iterable it checks, or the checked arrays n, n^(1/beta), x and s; the
-  layout of those arrays is timed with the search);
+  their (n, beta, x) triples, on either signature of the search (rows of
+  (n, beta, thresholds), one per (n, beta), that it lays out itself; or,
+  before that, the arrays n, n^(1/beta), x and s, laid out here and timed
+  with the search);
 - "bound_bn": a loop of one-cell bound_bn calls;
 - "run_sweep": one run_sweep(trials=0) over the whole table, which fills
   every bound column.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import itertools
 import math
 import sys
 
@@ -63,7 +65,8 @@ def _batched(sn, cells) -> list[float]:
 
     search = sn.bounds._bernstein_search
     if len(inspect.signature(search).parameters) == 1:
-        _, log_objective, _ = search(cells)
+        groups = itertools.groupby(cells, key=lambda cell: cell[:2])
+        _, log_objective, _ = search([(n, b, [x for *_, x in row]) for (n, b), row in groups])
     else:
         rows = [(n, n ** (1.0 / b), x, x / sn.endpoint_threshold(n, b)) for n, b, x in cells]
         _, log_objective, _ = search(*np.array(rows).T)

@@ -60,7 +60,7 @@ def _check_beta(beta: float) -> float:
     """The variation exponent as a float; the bound is defined for beta > 1."""
     b = float(beta)
     if not math.isfinite(b) or b <= 1.0:
-        raise ValueError(f"beta must be a finite real > 1, got {beta!r}")
+        raise ValueError(f"beta must be a finite real > 1, got {b!r}")
     return b
 
 
@@ -128,13 +128,18 @@ def threshold_from_s(n: int, beta: float, s: float) -> float:
 
 
 def v_norm(xs, beta: float) -> float:
-    """beta-norm (sum_i |x_i|^beta)^(1/beta) of a non-empty sample vector."""
+    """beta-norm (sum_i |x_i|^beta)^(1/beta) of a non-empty sample vector: a
+    row of _beta_norm bit for bit, or, where a power could overflow or leave
+    the normal floats, the norm of the vector over its largest |entry|, scaled back."""
     b = _check_beta(beta)
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample vector must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample vector entries must all be finite")
+    top = float(np.abs(arr).max())
+    if top > 0.0 and abs(b * math.log2(top)) + math.log2(arr.size) > 1000.0:
+        return float(top * _beta_norm(arr / top, b))  # numpy multiply: warns past the float range
     return float(_beta_norm(arr, b))
 
 
@@ -334,21 +339,20 @@ def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
             "numeric minimization needs x strictly below the endpoint "
             f"n^((beta-1)/beta); got scaled threshold s = {s}"
         )
-    # float(n): a Python int past 2^64 would make an object array.
-    cell = np.array([[float(n), float(n) ** (1.0 / b), x, s]])
-    lam, log_objective, iterations = _bernstein_search(*cell.T)
+    lam, log_objective, iterations = _bernstein_search([(n, b, [x])])
     return BernsteinResult(
         float(lam[0]), math.exp(log_objective[0]), int(iterations[0]), float(log_objective[0])
     )
 
 
-def _bernstein_search(n, n1b, x, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bernstein_search(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bernstein_numeric for many cells, in one vectorized search.
 
-    Cell i has n[i] summands, n1b[i] = n[i]^(1/beta), threshold x[i] and
-    s[i] = x[i] / n[i]^((beta-1)/beta) < 1, all checked by the caller.
+    rows is an iterable of (n, beta, thresholds), checked by the caller, with
+    every threshold strictly below n^((beta-1)/beta); a row may be empty.
     Returns the minimizers, the minima f(lambda_star) and the iteration
-    counts; objective_value is math.exp of the minimum.
+    counts, one entry per threshold in row order; objective_value is
+    math.exp of the minimum.
 
     Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
     is strictly convex: a doubling search brackets each minimum (the
@@ -357,6 +361,15 @@ def _bernstein_search(n, n1b, x, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     in its own array entry and stops moving once its bracket is narrow
     enough, so its result does not depend on the other cells.
     """
+    rows = [(float(m), float(beta), np.asarray(xs, dtype=float)) for m, beta, xs in rows]
+    sizes = [xs.size for _, _, xs in rows]
+    # Per cell: n, n^(1/beta) and the endpoint as Python float powers (float(n):
+    # a Python int past 2^64 would make an object array), x and s = x / endpoint.
+    n = np.repeat([m for m, _, _ in rows], sizes)
+    n1b = np.repeat([m ** (1.0 / b) for m, b, _ in rows], sizes)
+    x = np.concatenate([np.empty(0)] + [xs for _, _, xs in rows])
+    s = x / np.repeat([_endpoint(m, b) for m, b, _ in rows], sizes)
+
     # Bracket: f'(lam) > 0 once tanh(lam / n^(1/beta)) > s, which a doubling
     # search reaches because s < 1.
     hi = n1b.copy()
@@ -411,6 +424,28 @@ def _bernstein_search(n, n1b, x, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _moment_log(lam, n, n1b, x):
     """The log objective f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta))."""
     return -lam * x + n * log_cosh(lam / n1b)
+
+
+def _bound_grid(n_values, beta_values, levels) -> tuple[list, list, list, list]:
+    """x, B_n, bound_corollary and bernstein_numeric's objective_value (None
+    at and beyond the endpoint) of each cell of a checked (n, beta, s) grid,
+    as flat lists in (n, beta, s) order.  Each entry equals its one-cell call
+    bit for bit, and one search fills the numeric minima of the whole grid."""
+    levels = np.asarray(levels, dtype=float)
+    x, bn, corollary, below, rows = [], [], [], [], []
+    for n in n_values:
+        for beta in beta_values:
+            b = float(beta)
+            xs = levels * _endpoint(n, b)
+            s, _, value = _bn_cells(n, b, xs)
+            rows.append((n, b, xs[s < 1.0]))
+            below += (s < 1.0).tolist()
+            x += xs.tolist()
+            bn += value.tolist()
+            corollary += _libm(math.exp, _corollary_log(n, b, xs)).tolist()
+    _, log_objective, _ = _bernstein_search(rows)
+    minima = map(math.exp, log_objective.tolist())
+    return x, bn, corollary, [next(minima) if inside else None for inside in below]
 
 
 def tstat_threshold(n: int, x: float) -> float:

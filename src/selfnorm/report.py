@@ -12,19 +12,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import (
-    _bernstein_search,
-    _bn_cells,
+    _bound_grid,
     _check_beta,
     _check_n,
-    _corollary_log,
-    _endpoint,
-    _libm,
     bound_bn,
     bound_corollary,
     bernstein_numeric,
@@ -33,10 +26,11 @@ from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_m
 from .oracle import _resolve_workers
 from .simulate import DistributionSpec, _check_seed, estimate_tail, estimate_tail_multi
 
-# run_sweep calls only the multi-threshold forms and the array evaluators;
+# run_sweep calls only the multi-threshold forms and bounds' grid evaluator.
 # exact_tail, estimate_tail, bound_bn, bound_corollary and bernstein_numeric
 # stay importable from here because bench/tracing.py wraps this module's
-# names (a traced sweep therefore books no bound evaluation).
+# names, and tests/test_bench_contract.py checks that they do (a traced
+# sweep therefore books no bound evaluation).
 
 __all__ = ["COLUMNS", "SweepGrid", "run_sweep", "render_csv", "render_json", "parse_csv"]
 
@@ -97,68 +91,41 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """Evaluate every grid cell; returns one flat record per cell.
 
     Each n runs one enumeration and one Monte Carlo stream for all its beta
-    and s values, and one batched search fills the numeric minimization
-    of every interior cell of the grid.  Unavailable entries (enumeration
-    over the budget, random-magnitude laws, endpoint cells for the numeric
-    minimizer, Monte Carlo turned off) are None.  The worker count is resolved before any
-    cell, so a bad SELFNORM_THREADS fails even when no kernel would run.
+    and s values; the bound columns come from one bounds._bound_grid call,
+    whose one search fills the numeric minimization of every interior cell.
+    Unavailable entries (enumeration over the budget, random-magnitude
+    laws, endpoint cells for the numeric minimizer, Monte Carlo turned off)
+    are None.  The worker count is resolved before any cell, so a bad
+    SELFNORM_THREADS fails even when no kernel would run.
     """
     workers = _resolve_workers(workers)
     dist = grid.dist
-    levels = np.asarray(grid.s_values, dtype=float)
-    rows = []
-    interior = []  # per row, whether the numeric search fills it (s < 1)
-    search = []  # the search's n, n^(1/beta), x and s of those rows, per (n, beta)
-    for n in grid.n_values:
+    xs, bns, corollary, numeric = _bound_grid(grid.n_values, grid.beta_values, grid.s_values)
+    betas = [beta for beta in grid.beta_values for _ in grid.s_values]  # one n's cells
+    exact, estimates = [None] * len(xs), [None] * len(xs)
+    for i, n in enumerate(grid.n_values):
+        span = slice(i * len(betas), (i + 1) * len(betas))
         mags = None
         if dist.supports_exact() and n <= MAX_ENUM_N:
             # A fixed magnitude vector of another length leaves the column blank.
             with contextlib.suppress(ValueError):
                 mags = dist.exact_magnitudes(n)
-        betas, xs, bns, corollary = [], [], [], []  # per row of n, in (beta, s) order
-        for beta in grid.beta_values:
-            b = float(beta)
-            x = levels * _endpoint(n, b)  # the float multiply of threshold_from_s
-            s, _, bn = _bn_cells(n, b, x)
-            below = s < 1.0
-            k = int(below.sum())
-            n1b = float(n) ** (1.0 / b)
-            search.append([np.full(k, float(n)), np.full(k, n1b), x[below], s[below]])
-            interior += below.tolist()
-            betas += [beta] * x.size
-            xs += x.tolist()
-            bns += bn.tolist()
-            corollary += _libm(math.exp, _corollary_log(n, b, x)).tolist()
-        exact = estimates = [None] * len(xs)
         if mags is not None:
-            tails = exact_tail_multi(mags, betas, xs, grid.stat, workers)
-            exact = [tail.probability for tail in tails]
+            tails = exact_tail_multi(mags, betas, xs[span], grid.stat, workers)
+            exact[span] = [tail.probability for tail in tails]
         if grid.trials > 0:
-            estimates = estimate_tail_multi(
-                dist, n, betas, xs, grid.stat, grid.trials, grid.seed, workers
+            estimates[span] = estimate_tail_multi(
+                dist, n, betas, xs[span], grid.stat, grid.trials, grid.seed, workers
             )
-        for beta, level, threshold, bound, cor, probability, est in zip(
-            betas, itertools.cycle(grid.s_values), xs, bns, corollary, exact, estimates
-        ):
-            rows.append({
-                "n": n,
-                "beta": beta,
-                "s": level,
-                "x": threshold,
-                "bound_bn": bound,
-                "bound_corollary": cor,
-                "bernstein_numeric": None,
-                "oracle_exact": probability,
-                "mc_p_hat": None if est is None else est.p_hat,
-                "mc_ci_low": None if est is None else est.ci_low,
-                "mc_ci_high": None if est is None else est.ci_high,
-                "trials": grid.trials,
-                "seed": grid.seed,
-            })
-    _, log_objective, _ = _bernstein_search(*np.concatenate(search, axis=1))
-    for row, value in zip(itertools.compress(rows, interior), log_objective):
-        row["bernstein_numeric"] = math.exp(value)  # bernstein_numeric's objective_value
-    return rows
+    intervals = [(None,) * 3 if e is None else (e.p_hat, e.ci_low, e.ci_high) for e in estimates]
+    cells = itertools.product(grid.n_values, grid.beta_values, grid.s_values)
+    # Each row's values in COLUMNS order.
+    return [
+        dict(zip(COLUMNS, (*cell, x, bn, cor, minimum, p, *interval, grid.trials, grid.seed)))
+        for cell, x, bn, cor, minimum, p, interval in zip(
+            cells, xs, bns, corollary, numeric, exact, intervals
+        )
+    ]
 
 
 def _format_cell(value) -> str:

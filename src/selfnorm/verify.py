@@ -159,12 +159,6 @@ def dominance() -> str:
     return f"{cells} cells dominated"
 
 
-def _bernstein_minima(grid):
-    """One search over (n, beta, s, x) cells; each result equals bernstein_numeric's."""
-    cells = [(n, n ** (1.0 / beta), x, x / endpoint_threshold(n, beta)) for n, beta, _, x in grid]
-    return bounds._bernstein_search(*np.array(cells).T)
-
-
 def bernstein_consistency() -> str:
     """Numeric minimization reproduces the closed form and its minimizer."""
     grid = [
@@ -173,7 +167,8 @@ def bernstein_consistency() -> str:
         for beta in _BETAS
         for s in (0.01, 0.1, 0.5, 0.9, 0.99)
     ]
-    found, log_objective, _ = _bernstein_minima(grid)
+    # One search; each result equals bernstein_numeric's.
+    found, log_objective, _ = bounds._bernstein_search([(n, beta, [x]) for n, beta, _, x in grid])
     worst_obj = worst_lam = 0.0
     for (n, beta, s, x), numeric, log_numeric in zip(grid, found, log_objective):
         closed = bound_bn(n, beta, x).value
@@ -294,7 +289,7 @@ def two_point_tightness() -> str:
         for beta in _ORACLE_BETAS
         for s in (0.1, 0.3, 0.5, 0.7, 0.9)
     ]
-    _, log_objective, _ = _bernstein_minima(grid)
+    _, log_objective, _ = bounds._bernstein_search([(n, beta, [x]) for n, beta, _, x in grid])
     for (n, beta, s, x), log_numeric in zip(grid, log_objective):
         exact = exact_tail([1.0] * n, beta, x, FINAL_SUM)
         numeric = math.exp(log_numeric)

@@ -70,15 +70,14 @@ def test_02_endpoint_tightness_bound_attained():
 
 
 def test_03_numeric_optimizer_matches_closed_form():
-    cells = [
-        (n, beta, threshold_from_s(n, beta, s))
+    rows = [
+        (n, beta, [threshold_from_s(n, beta, s) for s in (0.01, 0.1, 0.5, 0.9, 0.99)])
         for n in range(1, 65)
         for beta in (1.1, 1.5, 2.0, 3.0, 10.0)
-        for s in (0.01, 0.1, 0.5, 0.9, 0.99)
     ]
+    cells = [(n, beta, x) for n, beta, xs in rows for x in xs]
     # One batched search; each cell's result equals bernstein_numeric's.
-    rows = [(n, n ** (1.0 / beta), x, x / endpoint_threshold(n, beta)) for n, beta, x in cells]
-    found, log_objective, _ = bounds._bernstein_search(*np.array(rows).T)
+    found, log_objective, _ = bounds._bernstein_search(rows)
     worst_value = worst_lambda = 0.0
     for (n, beta, x), lam, log_value in zip(cells, found, log_objective):
         closed = bound_bn(n, beta, x).value

@@ -209,6 +209,27 @@ class TestThresholds:
         with pytest.raises(ValueError):
             v_norm([1.0, math.nan], 2.0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_v_norm_at_extreme_scales(self, scale, beta):
+        # The norm is homogeneous.  |x|^beta overflowed at 1e200 (a
+        # RuntimeWarning), fell to 0 at 1e-200 and to subnormals at 1e-160.
+        # Where no power leaves the normal floats the unscaled sum is kept;
+        # its root's rounded exponent 1/beta costs up to about 1e-16 times
+        # |log of the sum| relative, 3e-14 here.
+        mags = np.array([3.0, -1.0, 2.0, 0.0])
+        assert v_norm(scale * mags, beta) == pytest.approx(
+            scale * v_norm(mags, beta), rel=1e-13, abs=0.0
+        )
+
+    def test_v_norm_keeps_unit_and_zero_vectors(self):
+        for n, beta in ((1, 2.0), (16, 1.5), (21, 3.0)):
+            assert v_norm([1.0] * n, beta) == float(_beta_norm(np.ones(n), beta))
+        assert v_norm([0.0, -0.0], 2.0) == 0.0
+        # A norm past the largest float still overflows loudly.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert v_norm([1e308] * 4, 2.0) == math.inf
+
 
 class TestCorollary:
     def test_reference_value(self):
@@ -321,23 +342,16 @@ class TestBernstein:
 class TestBernsteinBatch:
     # Extremes of the search: s down to 1e-300 and up to just below 1, a
     # bracket that doubles far at n = 10^6 with beta = 1.01, and tails whose
-    # objective underflows to 0.
-    CELLS = [
-        (n, beta, threshold_from_s(n, beta, s))
+    # objective underflows to 0.  One row per (n, beta), five thresholds each.
+    ROWS = [
+        (n, beta, [threshold_from_s(n, beta, s) for s in (1e-300, 1e-8, 0.5, 0.999999, 1 - 1e-15)])
         for n, beta in ((1, 1.01), (2, 2.0), (10**6, 1.01), (10**6, 2.0), (10**4, 10.0))
-        for s in (1e-300, 1e-8, 0.5, 0.999999, 1.0 - 1e-15)
     ]
-
-    @staticmethod
-    def search(cells):
-        """_bernstein_search over (n, beta, x) cells, each laid out as
-        bernstein_numeric lays out its one cell."""
-        rows = [(n, float(n) ** (1.0 / beta), x, x / endpoint_threshold(n, beta))
-                for n, beta, x in cells]
-        return _bernstein_search(*np.array(rows, dtype=float).reshape(-1, 4).T)
+    CELLS = [(n, beta, x) for n, beta, xs in ROWS for x in xs]
 
     def test_extremes_match_closed_form(self):
-        lam, log_objective, iterations = self.search(self.CELLS)
+        lam, log_objective, iterations = _bernstein_search(self.ROWS)
+        assert lam.size == len(self.CELLS)
         for (n, beta, x), log_value, steps in zip(self.CELLS, log_objective, iterations):
             closed = bound_bn(n, beta, x)
             assert closed.regime == INTERIOR
@@ -348,20 +362,42 @@ class TestBernsteinBatch:
             assert 0 < steps < 200
         assert np.all(lam > 0.0)
 
-    def test_cells_do_not_depend_on_the_batch(self):
-        # Reversed order puts every cell in another lane; one-cell calls are
-        # bernstein_numeric itself.
-        lam, log_objective, iterations = self.search(self.CELLS)
-        back = self.search(self.CELLS[::-1])
-        for got, reversed_ in zip((lam, log_objective, iterations), back):
-            assert np.array_equal(got, reversed_[::-1])
+    @pytest.mark.parametrize("flip_rows,flip_thresholds", [(1, 0), (0, 1), (1, 1)])
+    def test_cells_do_not_depend_on_the_batch(self, flip_rows, flip_thresholds):
+        # Reversing the rows, the thresholds within each row, or both puts
+        # every cell in another lane; one-cell calls are bernstein_numeric
+        # itself.
+        lam, log_objective, iterations = _bernstein_search(self.ROWS)
+        # Each row with the cell numbers of its thresholds, reordered alike.
+        rows = list(zip(self.ROWS, np.arange(len(self.CELLS)).reshape(len(self.ROWS), -1)))
+        if flip_rows:
+            rows = rows[::-1]
+        if flip_thresholds:
+            rows = [((n, beta, xs[::-1]), cells[::-1]) for (n, beta, xs), cells in rows]
+        back = _bernstein_search([row for row, _ in rows])
+        order = np.concatenate([cells for _, cells in rows])
+        for got, reordered in zip((lam, log_objective, iterations), back):
+            assert np.array_equal(got[order], reordered)
         for cell, l, v, k in zip(self.CELLS, lam, log_objective, iterations):
             single = bernstein_numeric(*cell)
             assert (single.lambda_star, single.log_objective, single.iterations) == (l, v, k)
             assert single.objective_value == math.exp(v)
 
+    def test_one_threshold_row_is_bernstein_numeric(self):
+        n, beta, x = self.CELLS[7]
+        (lam,), (log_objective,), (steps,) = _bernstein_search([(n, beta, [x])])
+        single = bernstein_numeric(n, beta, x)
+        assert (single.lambda_star, single.log_objective, single.iterations) == (
+            lam, log_objective, steps
+        )
+
     def test_empty_batch(self):
-        assert [a.size for a in self.search([])] == [0, 0, 0]
+        assert [a.size for a in _bernstein_search([])] == [0, 0, 0]
+        # Empty rows add no cells and move no other cell.
+        assert [a.size for a in _bernstein_search([(4, 2.0, []), (9, 1.5, [])])] == [0, 0, 0]
+        padded = _bernstein_search([(4, 2.0, [])] + self.ROWS[:2] + [(9, 1.5, [])])
+        for got, plain in zip(padded, _bernstein_search(self.ROWS[:2])):
+            assert np.array_equal(got, plain)
 
 
 class TestLogCosh:

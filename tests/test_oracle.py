@@ -492,6 +492,13 @@ class TestPerThresholdBeta:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             exact_tail_multi([1.0, 2.0, 0.5], betas, [0.5, 1.0, 1.5], stat)
 
+    def test_bad_beta_from_an_array_reads_as_a_float(self):
+        # Reported as the float it converts to, not as np.float64(1.0).
+        with pytest.raises(ValueError, match=r"^beta must be a finite real > 1, got 1\.0$"):
+            exact_tail_multi([1.0, 2.0], np.array([2.0, 1.0]), [0.5, 1.0])
+        with pytest.raises(ValueError, match=r"^beta must be a finite real > 1, got 0\.5$"):
+            exact_tail([1.0, 2.0], np.float32(0.5), 0.5)
+
     def test_empty_thresholds_enumerate_nothing(self, monkeypatch):
         def no_halves(*args):
             raise AssertionError("enumerated for no threshold")

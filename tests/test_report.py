@@ -21,7 +21,7 @@ from selfnorm import (
     run_sweep,
     threshold_from_s,
 )
-from selfnorm import simulate
+from selfnorm import bounds, simulate
 
 S_VALUES = (0.1, 0.35, 0.6, 1.0)
 LAWS = [
@@ -89,11 +89,29 @@ def test_one_monte_carlo_stream_per_n(monkeypatch):
     assert draws == [4, 6, 9]
 
 
+def test_one_bernstein_search_per_grid(monkeypatch):
+    calls = []
+    search = bounds._bernstein_search
+
+    def counting(rows):
+        calls.append([(n, beta, len(xs)) for n, beta, xs in rows])
+        return search(rows)
+
+    monkeypatch.setattr(bounds, "_bernstein_search", counting)
+    grid = SweepGrid((4, 6, 9), (1.5, 2.0, 3.0), S_VALUES, dist=DistributionSpec.gaussian(),
+                     trials=0)
+    rows = run_sweep(grid)
+    # One call for the whole grid: a row per (n, beta), each with the three
+    # levels below the endpoint, and every interior cell filled from it.
+    assert calls == [[(n, beta, 3) for n in (4, 6, 9) for beta in (1.5, 2.0, 3.0)]]
+    assert sum(row["bernstein_numeric"] is not None for row in rows) == 27
+
+
 def test_bernstein_column_equals_one_cell_calls():
     # One batched search fills the column for the whole grid; each entry must
     # not depend on the batch size or on the cell's lane in it.  The bound
-    # columns come from one array call per (n, beta) and must equal the
-    # public one-cell functions bit for bit: there is one evaluation route.
+    # columns come from bounds' grid evaluator and must equal the public
+    # one-cell functions bit for bit: there is one evaluation route.
     grid = SweepGrid(
         (1, 2, 64, 4096, 10**4),
         (1.01, 1.5, 2.0, 10.0),

@@ -494,6 +494,13 @@ class TestPerThresholdBeta:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             estimate_tail_multi(DistributionSpec.rademacher(), 4, betas, [0.5, 1.0, 1.5], stat, 100)
 
+    def test_bad_numpy_beta_reads_as_a_float(self):
+        # Reported as the float it converts to, not as np.float64(1.0).
+        with pytest.raises(ValueError, match=r"^beta must be a finite real > 1, got 1\.0$"):
+            estimate_tail(DistributionSpec.rademacher(), 4, np.float64(1.0), 0.5, RUNNING_MAX, 100)
+        with pytest.raises(ValueError, match=r"^beta must be a finite real > 1, got 1\.0$"):
+            estimate_tail_multi(DistributionSpec.rademacher(), 4, np.array([2.0, 1.0]), [0.5, 1.0])
+
     def test_rejects_a_list_for_no_threshold(self):
         with pytest.raises(ValueError, match=re.escape("one per threshold (0), got 1")):
             estimate_tail_multi(DistributionSpec.rademacher(), 4, [2.0], [], RUNNING_MAX, 100)
