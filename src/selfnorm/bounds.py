@@ -13,8 +13,9 @@ This module evaluates B_n in log space through two independent routes
 relaxation exp(-x^2 n^(2/beta-1) / 2), the exponential-moment problem
 whose infimum equals B_n for two-point laws, and the reduction of
 Student's t-statistic to a self-normalized sum.  The first three run on
-an array of thresholds of one (n, beta), unchecked, as a sweep row calls
-them; the public functions check their input and make one-entry calls.
+an array of thresholds of one (n, beta), unchecked, as the sweep's grid
+evaluator calls them; the public functions check their input and make
+one-entry calls.
 """
 
 from __future__ import annotations
@@ -361,13 +362,13 @@ def _bernstein_search(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in its own array entry and stops moving once its bracket is narrow
     enough, so its result does not depend on the other cells.
     """
-    rows = [(float(m), float(beta), np.asarray(xs, dtype=float)) for m, beta, xs in rows]
-    sizes = [xs.size for _, _, xs in rows]
-    # Per cell: n, n^(1/beta) and the endpoint as Python float powers (float(n):
-    # a Python int past 2^64 would make an object array), x and s = x / endpoint.
+    # Powers of n as Python floats; float(n): a Python int past 2^64 would
+    # make an object array.
+    rows = [(float(m), float(b), np.asarray(xs, dtype=float)) for m, b, xs in rows]
+    sizes = [xs.size for *_, xs in rows]
     n = np.repeat([m for m, _, _ in rows], sizes)
     n1b = np.repeat([m ** (1.0 / b) for m, b, _ in rows], sizes)
-    x = np.concatenate([np.empty(0)] + [xs for _, _, xs in rows])
+    x = np.concatenate([np.empty(0)] + [xs for *_, xs in rows])
     s = x / np.repeat([_endpoint(m, b) for m, b, _ in rows], sizes)
 
     # Bracket: f'(lam) > 0 once tanh(lam / n^(1/beta)) > s, which a doubling
@@ -434,8 +435,7 @@ def _bound_grid(n_values, beta_values, levels) -> tuple[list, list, list, list]:
     levels = np.asarray(levels, dtype=float)
     x, bn, corollary, below, rows = [], [], [], [], []
     for n in n_values:
-        for beta in beta_values:
-            b = float(beta)
+        for b in map(float, beta_values):
             xs = levels * _endpoint(n, b)
             s, _, value = _bn_cells(n, b, xs)
             rows.append((n, b, xs[s < 1.0]))

@@ -91,39 +91,40 @@ def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
     """Evaluate every grid cell; returns one flat record per cell.
 
     Each n runs one enumeration and one Monte Carlo stream for all its beta
-    and s values; the bound columns come from one bounds._bound_grid call,
-    whose one search fills the numeric minimization of every interior cell.
+    and s values; one bounds._bound_grid call fills the bound columns.
     Unavailable entries (enumeration over the budget, random-magnitude
     laws, endpoint cells for the numeric minimizer, Monte Carlo turned off)
     are None.  The worker count is resolved before any cell, so a bad
     SELFNORM_THREADS fails even when no kernel would run.
     """
     workers = _resolve_workers(workers)
-    dist = grid.dist
     xs, bns, corollary, numeric = _bound_grid(grid.n_values, grid.beta_values, grid.s_values)
     betas = [beta for beta in grid.beta_values for _ in grid.s_values]  # one n's cells
     exact, estimates = [None] * len(xs), [None] * len(xs)
     for i, n in enumerate(grid.n_values):
         span = slice(i * len(betas), (i + 1) * len(betas))
         mags = None
-        if dist.supports_exact() and n <= MAX_ENUM_N:
+        if grid.dist.supports_exact() and n <= MAX_ENUM_N:
             # A fixed magnitude vector of another length leaves the column blank.
             with contextlib.suppress(ValueError):
-                mags = dist.exact_magnitudes(n)
+                mags = grid.dist.exact_magnitudes(n)
         if mags is not None:
             tails = exact_tail_multi(mags, betas, xs[span], grid.stat, workers)
             exact[span] = [tail.probability for tail in tails]
         if grid.trials > 0:
             estimates[span] = estimate_tail_multi(
-                dist, n, betas, xs[span], grid.stat, grid.trials, grid.seed, workers
+                grid.dist, n, betas, xs[span], grid.stat, grid.trials, grid.seed, workers
             )
-    intervals = [(None,) * 3 if e is None else (e.p_hat, e.ci_low, e.ci_high) for e in estimates]
-    cells = itertools.product(grid.n_values, grid.beta_values, grid.s_values)
-    # Each row's values in COLUMNS order.
     return [
-        dict(zip(COLUMNS, (*cell, x, bn, cor, minimum, p, *interval, grid.trials, grid.seed)))
-        for cell, x, bn, cor, minimum, p, interval in zip(
-            cells, xs, bns, corollary, numeric, exact, intervals
+        {"n": n, "beta": beta, "s": level, "x": threshold, "bound_bn": bound,
+         "bound_corollary": cor, "bernstein_numeric": minimum, "oracle_exact": probability,
+         "mc_p_hat": None if est is None else est.p_hat,
+         "mc_ci_low": None if est is None else est.ci_low,
+         "mc_ci_high": None if est is None else est.ci_high,
+         "trials": grid.trials, "seed": grid.seed}
+        for (n, beta, level), threshold, bound, cor, minimum, probability, est in zip(
+            itertools.product(grid.n_values, grid.beta_values, grid.s_values),
+            xs, bns, corollary, numeric, exact, estimates,
         )
     ]
 
