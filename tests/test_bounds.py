@@ -362,22 +362,22 @@ class TestBernsteinBatch:
             assert 0 < steps < 200
         assert np.all(lam > 0.0)
 
-    @pytest.mark.parametrize("flip_rows,flip_thresholds", [(1, 0), (0, 1), (1, 1)])
-    def test_cells_do_not_depend_on_the_batch(self, flip_rows, flip_thresholds):
+    def test_cells_do_not_depend_on_the_batch(self):
         # Reversing the rows, the thresholds within each row, or both puts
         # every cell in another lane; one-cell calls are bernstein_numeric
         # itself.
         lam, log_objective, iterations = _bernstein_search(self.ROWS)
-        # Each row with the cell numbers of its thresholds, reordered alike.
-        rows = list(zip(self.ROWS, np.arange(len(self.CELLS)).reshape(len(self.ROWS), -1)))
-        if flip_rows:
-            rows = rows[::-1]
-        if flip_thresholds:
-            rows = [((n, beta, xs[::-1]), cells[::-1]) for (n, beta, xs), cells in rows]
-        back = _bernstein_search([row for row, _ in rows])
-        order = np.concatenate([cells for _, cells in rows])
-        for got, reordered in zip((lam, log_objective, iterations), back):
-            assert np.array_equal(got[order], reordered)
+        for flip_rows, flip_thresholds in ((True, False), (False, True), (True, True)):
+            # Each row with the cell numbers of its thresholds, reordered alike.
+            rows = list(zip(self.ROWS, np.arange(len(self.CELLS)).reshape(len(self.ROWS), -1)))
+            if flip_rows:
+                rows = rows[::-1]
+            if flip_thresholds:
+                rows = [((n, beta, xs[::-1]), cells[::-1]) for (n, beta, xs), cells in rows]
+            back = _bernstein_search([row for row, _ in rows])
+            order = np.concatenate([cells for _, cells in rows])
+            for got, reordered in zip((lam, log_objective, iterations), back):
+                assert np.array_equal(got[order], reordered)
         for cell, l, v, k in zip(self.CELLS, lam, log_objective, iterations):
             single = bernstein_numeric(*cell)
             assert (single.lambda_star, single.log_objective, single.iterations) == (l, v, k)
