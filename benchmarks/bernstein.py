@@ -21,16 +21,17 @@ Modes:
   with the search);
 - "bound_bn": a loop of one-cell bound_bn calls;
 - "run_sweep": one run_sweep(trials=0) over the whole table, which fills
-  every bound column.
+  every bound column;
+- "render_csv": one render_csv of that sweep's rows (one row per cell).
 
 The first 3,200 cells are one bound_table sweep call; all 25,600 are the
 whole table.  The per-cell search loop runs at 25,600 cells only in a tree
 without the batched search, where it is the path a sweep takes.  Search
 records carry the largest relative gap between the numeric minimum and
-bound_bn over the cells whose bound does not underflow.  The bound_bn and
-run_sweep records carry a sha256 of their output (the values and the CSV,
-at 12 significant digits), and the script exits 1 when one differs from
-the same record under another label.  The parser, the timing loop and the
+bound_bn over the cells whose bound does not underflow.  The bound_bn,
+run_sweep and render_csv records carry a sha256 of their output (the values
+and the CSV, at 12 significant digits), and the script exits 1 when one
+differs from the same record under another label.  The parser, the timing loop and the
 writer are shared in record.py.
 """
 
@@ -110,10 +111,15 @@ def _bound_bn_record(sn, cells) -> dict:
     return _record("bound_bn", len(cells), timing, digest=_digest(text))
 
 
-def _sweep_record(sn) -> dict:
+def _sweep_records(sn) -> list[dict]:
     grid = sn.SweepGrid(TABLE_N, BETAS, LEVELS, dist=sn.DistributionSpec.gaussian(), trials=0)
-    timing = record.timed(lambda: sn.run_sweep(grid), MIN_SECONDS)
-    return _record("run_sweep", len(timing[3]), timing, digest=_digest(sn.render_csv(timing[3])))
+    sweep = record.timed(lambda: sn.run_sweep(grid), MIN_SECONDS)
+    rows = sweep[3]
+    render = record.timed(lambda: sn.render_csv(rows), MIN_SECONDS)
+    return [
+        _record("run_sweep", len(rows), sweep, digest=_digest(sn.render_csv(rows))),
+        _record("render_csv", len(rows), render, digest=_digest(render[3])),
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         records += [_search_record(sn, "batched", _batched, cells[:size]) for size in SIZES]
     else:
         records.append(_search_record(sn, "per_cell", _per_cell, cells[: SIZES[1]]))
-    records += [_bound_bn_record(sn, cells), _sweep_record(sn)]
+    records += [_bound_bn_record(sn, cells), *_sweep_records(sn)]
     for rec in records:
         gap = rec.get("max_rel_gap_to_bound_bn")
         print(

@@ -10,6 +10,7 @@ x = s * n^((beta-1)/beta)); exactly one of the two must be present.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = ["main", "build_parser"]
 
 _STATS = {stat.replace("_", "-"): stat for stat in STATS}
 _KINDS = ("bn", "entropy", "corollary", "bernstein", "tstat", "two-sided", "rescaled")
+_parser = functools.cache(lambda: build_parser())  # main's one parser, built on first use
 
 
 def _emit(pairs: list[tuple[str, object]]) -> None:
@@ -303,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

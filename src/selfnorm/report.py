@@ -141,11 +141,23 @@ def _format_cell(value) -> str:
 
 
 def render_csv(rows: list[dict]) -> str:
-    """Rows as CSV text: fixed header, '.' decimals, LF line endings."""
-    lines = [",".join(COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[col]) for col in COLUMNS))
-    return "\n".join(lines) + "\n"
+    """Rows as CSV text: fixed header, '.' decimals, LF line endings; one % per row."""
+    formats, columns = [], []
+    for col in COLUMNS:
+        values = [row[col] for row in rows]
+        kinds = set(map(type, values))
+        if kinds == {float} or kinds == {int}:  # "%.12g" % v is f"{v:.12g}"
+            formats.append("%.12g" if float in kinds else "%d")
+        elif kinds == {type(None)}:
+            formats.append("")
+            continue
+        else:  # np.float64, bool, None among floats: _format_cell, the cell rule
+            formats.append("%s")
+            values = list(map(_format_cell, values))
+        columns.append(values)
+    template = ",".join(formats) + "\n"
+    cells = zip(*columns) if columns else [()] * len(rows)
+    return ",".join(COLUMNS) + "\n" + "".join(template % row for row in cells)
 
 
 def render_json(rows: list[dict]) -> str:

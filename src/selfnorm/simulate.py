@@ -284,10 +284,10 @@ def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarr
     return _transform(spec, stream.bit_generator.random_raw((1, 2 * n)), n)[0]
 
 
-def _statistics(vals: np.ndarray, stat: str, betas) -> list:
+def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
     betas, the numerator reduced once; degenerate rows (zero sample deviation,
-    or V_n(b) = 0) hold garbage."""
+    or V_n(b) = 0) hold garbage.  fixed: all rows share |values|, so row 0's V_n is theirs."""
     if stat == TSTAT:
         degenerate = (vals == vals[:, :1]).all(axis=1)
         means = vals.mean(axis=1)
@@ -298,9 +298,9 @@ def _statistics(vals: np.ndarray, stat: str, betas) -> list:
     sums = np.cumsum(vals, axis=1).max(axis=1) if stat == RUNNING_MAX else vals.sum(axis=1)
     pairs = []
     for b in betas:
-        v = _beta_norm(vals, b)
-        degenerate = v == 0.0
-        pairs.append((degenerate, sums / np.where(degenerate, 1.0, v)))
+        v = _beta_norm(vals[:1] if fixed else vals, b)
+        zero = v == 0.0
+        pairs.append((np.broadcast_to(zero, sums.shape), sums / np.where(zero, 1.0, v)))
     return pairs
 
 
@@ -342,10 +342,11 @@ def estimate_tail_multi(
         return []
     distinct = list(dict.fromkeys(bs))
     groups = [[i for i, b in enumerate(bs) if b == d] for d in distinct]
+    fixed = spec.supports_exact()  # unit, two-point, fixed vector: one V_n per block
 
     def count_block(lo: int, hi: int) -> np.ndarray:
         counts = np.empty((2, len(cuts)), dtype=np.int64)  # hits, degenerate
-        pairs = _statistics(_draw_values(spec, n, seed, lo, hi), stat, distinct)
+        pairs = _statistics(_draw_values(spec, n, seed, lo, hi), stat, distinct, fixed)
         for (degenerate, stats), group in zip(pairs, groups):
             counts[0, group] = _count_at(stats[~degenerate], [cuts[i] for i in group])
             counts[1, group] = degenerate.sum()

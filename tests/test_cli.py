@@ -436,6 +436,19 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_one_parser_per_process_keeps_no_state(self, capsys):
+        # main reuses one parser: flags of one call must not reach the next.
+        base = "sweep --n 4 --beta 2 --s 0.5 --trials 0".split()
+        code, out, _ = run_cli(capsys, *base, "--format", "json")
+        assert code == 0 and json.loads(out)[0]["n"] == 4
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0 and parse_csv(out)[0]["n"] == 4
+        code, out, err = run_cli(capsys, *base, "--format", "xml")
+        assert (code, out) == (2, "") and "invalid choice: 'xml'" in err
+        code, out, _ = run_cli(capsys, *"bound --n 4 --x 1".split())
+        assert code == 0 and record(out)["value"] == "0.592592592593"
+        assert cli._parser() is cli._parser() is not cli.build_parser()
+
     def test_repeat_invocations_byte_identical(self, capsys):
         args = "sweep --n 6 --beta 2 --s 0.4,0.8 --trials 5000 --seed 11".split()
         _, first, _ = run_cli(capsys, *args)

@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 
+import numpy as np
 import pytest
 
 from selfnorm import (
@@ -22,6 +24,7 @@ from selfnorm import (
     threshold_from_s,
 )
 from selfnorm import bounds, simulate
+from selfnorm.report import COLUMNS, _format_cell
 
 S_VALUES = (0.1, 0.35, 0.6, 1.0)
 LAWS = [
@@ -223,3 +226,81 @@ class TestParseCsv:
         lines[2] = ",".join(edit(lines[2].split(",")))
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_csv("\n".join(lines))
+
+
+def _per_cell_csv(rows):
+    """The CSV text of one _format_cell call per cell."""
+    lines = "".join(",".join(_format_cell(row[col]) for col in COLUMNS) + "\n" for row in rows)
+    return ",".join(COLUMNS) + "\n" + lines
+
+
+def _hand_built_rows():
+    template = dict.fromkeys(COLUMNS)
+    template.update(n=4, beta=2.0, s=0.5, x=1.0, trials=0, seed=0)
+    cells = [
+        {"x": -0.0, "bound_bn": math.nan, "mc_p_hat": 0.25},
+        {"x": math.inf, "bound_bn": -math.inf, "bound_corollary": 5e-324},
+        {"x": sys.float_info.max, "bound_bn": np.float64(0.1)},
+        {"x": 1 / 3, "bound_bn": 2.0, "seed": 2**64 + 5},
+        {"bernstein_numeric": 0.3, "mc_p_hat": None, "mc_ci_low": np.float64(1e-300)},
+    ]
+    return [{**template, **cell} for cell in cells]
+
+
+def _bool_rows():
+    # parse_csv reads no booleans, so these rows are not round-tripped.
+    rows = _hand_built_rows()
+    for row, flag in zip(rows, (None, None, True, False, None)):
+        row["oracle_exact"] = flag
+    return rows
+
+
+class TestRenderCsv:
+    """render_csv formats a column at a time; its text must be the per-cell
+    rule's, byte for byte, and read back through parse_csv."""
+
+    CASES = {
+        # s = 1.0 leaves the endpoint's numeric minimum None among floats.
+        "trials0_endpoint": lambda: run_sweep(
+            SweepGrid((4, 9, 40), (1.5, 2.0, 3.0), (0.05, 0.5, 0.999, 1.0), trials=0)
+        ),
+        "rademacher_oracle_mc": lambda: run_sweep(
+            SweepGrid((3, 8), (1.5, 2.0), (0.2, 0.7, 1.0), trials=2000, seed=5)
+        ),
+        "hand_built": _hand_built_rows,
+        "all_none": lambda: [dict.fromkeys(COLUMNS)] * 2,
+        "empty": list,
+    }
+
+    @pytest.mark.parametrize("case", [*CASES, "bools"])
+    def test_equals_the_per_cell_rule(self, case):
+        rows = self.CASES.get(case, _bool_rows)()
+        text = render_csv(rows)
+        assert text == _per_cell_csv(rows)
+        assert text.count("\n") == len(rows) + 1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_round_trips_through_parse_csv(self, case):
+        text = render_csv(self.CASES[case]())
+        parsed = parse_csv(text)
+        assert render_csv(parsed) == _per_cell_csv(parsed) == text
+
+    def test_cases_hold_the_mixed_columns(self):
+        endpoint = self.CASES["trials0_endpoint"]()
+        numeric = [row["bernstein_numeric"] for row in endpoint]
+        assert None in numeric and any(isinstance(v, float) for v in numeric)
+        filled = self.CASES["rademacher_oracle_mc"]()
+        assert all(None not in (row["oracle_exact"], row["mc_p_hat"]) for row in filled)
+        assert render_csv([]) == ",".join(COLUMNS) + "\n"
+
+    def test_hand_built_cells(self):
+        lines = render_csv(_bool_rows()).split("\n")[1:-1]
+        cells = [dict(zip(COLUMNS, line.split(","))) for line in lines]
+        big, third = "1.79769313486e+308", "0.333333333333"
+        assert [c["x"] for c in cells] == ["-0", "inf", big, third, "1"]
+        assert [c["bound_bn"] for c in cells] == ["nan", "-inf", "0.1", "2", ""]
+        assert cells[1]["bound_corollary"] == "4.94065645841e-324"
+        assert [c["oracle_exact"] for c in cells] == ["", "", "true", "false", ""]
+        assert cells[3]["seed"] == str(2**64 + 5)
+        assert [c["mc_p_hat"] for c in cells] == ["0.25", "", "", "", ""]
+        assert cells[4]["mc_ci_low"] == "1e-300"

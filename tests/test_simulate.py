@@ -506,6 +506,63 @@ class TestPerThresholdBeta:
             estimate_tail_multi(DistributionSpec.rademacher(), 4, [2.0], [], RUNNING_MAX, 100)
 
 
+class TestFixedMagnitudeNorm:
+    """Laws without random magnitudes give every row of a block the same
+    |values|, so _statistics forms V_n once per block; that must equal the
+    full per-row pass bit for bit, degenerate mask included."""
+
+    BETAS = (1.1, 1.5, 2.0, 2.7, 3.0)
+
+    @staticmethod
+    def _laws(n):
+        rng = np.random.default_rng(n)
+        return [
+            DistributionSpec.rademacher(),
+            DistributionSpec.two_point(0.37),
+            DistributionSpec.fixed(np.r_[0.0, rng.random(n - 1) * 1e3]),
+            # V_n underflows to 0 at beta >= 1.5 only: degenerate rows.
+            DistributionSpec.fixed(np.r_[1e-200, 1e-210 * rng.random(n - 1)]),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 129, 1000])
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_fixed_equals_the_full_pass(self, n, stat):
+        for spec in self._laws(n):
+            assert spec.supports_exact()
+            vals = _draw_values(spec, n, 4, 10, 1500)
+            full = simulate._statistics(vals, stat, self.BETAS)
+            fixed = simulate._statistics(vals, stat, self.BETAS, True)
+            for (want_mask, want), (mask, got) in zip(full, fixed):
+                assert mask.shape == want_mask.shape == (1490,)
+                assert np.array_equal(mask, want_mask)
+                assert mask.sum() == want_mask.sum()
+                bits = got[~mask].view(np.uint64)
+                assert np.array_equal(bits, want[~want_mask].view(np.uint64))
+        assert full[0][0].sum() == 0 and full[-1][0].all()  # both masks occur
+
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [
+            (DistributionSpec.rademacher(), 1),
+            (DistributionSpec.two_point(2.5), 1),
+            (DistributionSpec.fixed([1.0, 0.5, 2.0, 0.0, 3.0]), 1),
+            (DistributionSpec.gaussian(), 3000),
+        ],
+        ids=lambda v: getattr(v, "kind", v),
+    )
+    def test_estimator_forms_v_n_once_per_block_for_exact_laws(self, monkeypatch, spec, rows):
+        shapes = []
+        beta_norm = simulate._beta_norm
+
+        def recording(values, b):
+            shapes.append(values.shape)
+            return beta_norm(values, b)
+
+        monkeypatch.setattr(simulate, "_beta_norm", recording)
+        estimate_tail_multi(spec, 5, [1.5, 2.0], [0.5, 0.5], RUNNING_MAX, 3000)
+        assert shapes == [(rows, 5)] * 2
+
+
 class TestTransformScales:
     def _magnitudes(self, spec, count=20000):
         stream = trial_stream(123, count, 0)
