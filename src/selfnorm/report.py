@@ -142,7 +142,7 @@ def _format_cell(value) -> str:
 
 def render_csv(rows: list[dict]) -> str:
     """Rows as CSV text: fixed header, '.' decimals, LF line endings; one % per row."""
-    formats, columns = [], []
+    rows, formats, columns = list(rows), [], []  # rows are read once per column
     for col in COLUMNS:
         values = [row[col] for row in rows]
         kinds = set(map(type, values))

@@ -250,8 +250,8 @@ def _hand_built_rows():
 def _bool_rows():
     # parse_csv reads no booleans, so these rows are not round-tripped.
     rows = _hand_built_rows()
-    for row, flag in zip(rows, (None, None, True, False, None)):
-        row["oracle_exact"] = flag
+    for i, (row, flag) in enumerate(zip(rows, (None, None, True, False, None))):
+        row["oracle_exact"], row["trials"] = flag, i % 2 == 0  # bool is not int here
     return rows
 
 
@@ -278,6 +278,7 @@ class TestRenderCsv:
         text = render_csv(rows)
         assert text == _per_cell_csv(rows)
         assert text.count("\n") == len(rows) + 1
+        assert render_csv(iter(rows)) == text  # any iterable of rows, read once
 
     @pytest.mark.parametrize("case", CASES)
     def test_round_trips_through_parse_csv(self, case):
@@ -301,6 +302,7 @@ class TestRenderCsv:
         assert [c["bound_bn"] for c in cells] == ["nan", "-inf", "0.1", "2", ""]
         assert cells[1]["bound_corollary"] == "4.94065645841e-324"
         assert [c["oracle_exact"] for c in cells] == ["", "", "true", "false", ""]
+        assert [c["trials"] for c in cells] == ["true", "false", "true", "false", "true"]
         assert cells[3]["seed"] == str(2**64 + 5)
         assert [c["mc_p_hat"] for c in cells] == ["0.25", "", "", "", ""]
         assert cells[4]["mc_ci_low"] == "1e-300"
