@@ -31,8 +31,8 @@ records carry the largest relative gap between the numeric minimum and
 bound_bn over the cells whose bound does not underflow.  The bound_bn,
 run_sweep and render_csv records carry a sha256 of their output (the values
 and the CSV, at 12 significant digits), and the script exits 1 when one
-differs from the same record under another label.  The parser, the timing loop and the
-writer are shared in record.py.
+differs from the same record under another label.  The parser, the timing
+loop and the writer are shared in record.py.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ def _sweep_records(sn) -> list[dict]:
     sweep = record.timed(lambda: sn.run_sweep(grid), MIN_SECONDS)
     rows = sweep[3]
     render = record.timed(lambda: sn.render_csv(rows), MIN_SECONDS)
+    digest = _digest(render[3])
     return [
-        _record("run_sweep", len(rows), sweep, digest=_digest(sn.render_csv(rows))),
-        _record("render_csv", len(rows), render, digest=_digest(render[3])),
+        _record("run_sweep", len(rows), sweep, digest=digest),
+        _record("render_csv", len(rows), render, digest=digest),
     ]
 
 

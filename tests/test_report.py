@@ -270,17 +270,18 @@ class TestRenderCsv:
         "hand_built": _hand_built_rows,
         "all_none": lambda: [dict.fromkeys(COLUMNS)] * 2,
         "empty": list,
+        "bools": _bool_rows,
     }
 
-    @pytest.mark.parametrize("case", [*CASES, "bools"])
+    @pytest.mark.parametrize("case", CASES)
     def test_equals_the_per_cell_rule(self, case):
-        rows = self.CASES.get(case, _bool_rows)()
+        rows = self.CASES[case]()
         text = render_csv(rows)
         assert text == _per_cell_csv(rows)
         assert text.count("\n") == len(rows) + 1
         assert render_csv(iter(rows)) == text  # any iterable of rows, read once
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", [case for case in CASES if case != "bools"])
     def test_round_trips_through_parse_csv(self, case):
         text = render_csv(self.CASES[case]())
         parsed = parse_csv(text)
