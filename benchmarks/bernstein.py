@@ -14,31 +14,25 @@ by side:
 Modes:
 
 - "per_cell": a loop of one-cell bernstein_numeric calls;
-- "batched": one call of bounds._bernstein_search over all the cells, from
-  their (n, beta, x) triples, on either signature of the search (rows of
-  (n, beta, thresholds), one per (n, beta), that it lays out itself; or,
-  before that, the arrays n, n^(1/beta), x and s, laid out here and timed
-  with the search);
+- "batched": one call of bounds._bernstein_search over all the cells, one
+  row of (n, beta, thresholds) per (n, beta);
 - "bound_bn": a loop of one-cell bound_bn calls;
 - "run_sweep": one run_sweep(trials=0) over the whole table, which fills
   every bound column;
 - "render_csv": one render_csv of that sweep's rows (one row per cell).
 
 The first 3,200 cells are one bound_table sweep call; all 25,600 are the
-whole table.  The per-cell search loop runs at 25,600 cells only in a tree
-without the batched search, where it is the path a sweep takes.  Search
-records carry the largest relative gap between the numeric minimum and
-bound_bn over the cells whose bound does not underflow.  The bound_bn,
-run_sweep and render_csv records carry a sha256 of their output (the values
-and the CSV, at 12 significant digits), and the script exits 1 when one
-differs from the same record under another label.  The parser, the timing
-loop and the writer are shared in record.py.
+whole table.  Search records carry the largest relative gap between the
+numeric minimum and bound_bn over the cells whose bound does not underflow.
+The bound_bn, run_sweep and render_csv records carry a sha256 of their
+output (the values and the CSV, at 12 significant digits), and the script
+exits 1 when one differs from the same record under another label.  The
+parser, the timing loop and the writer are shared in record.py.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import itertools
 import math
 import sys
@@ -62,15 +56,9 @@ def _per_cell(sn, cells) -> list[float]:
 
 
 def _batched(sn, cells) -> list[float]:
-    import numpy as np
-
-    search = sn.bounds._bernstein_search
-    if len(inspect.signature(search).parameters) == 1:
-        groups = itertools.groupby(cells, key=lambda cell: cell[:2])
-        _, log_objective, _ = search([(n, b, [x for *_, x in row]) for (n, b), row in groups])
-    else:
-        rows = [(n, n ** (1.0 / b), x, x / sn.endpoint_threshold(n, b)) for n, b, x in cells]
-        _, log_objective, _ = search(*np.array(rows).T)
+    groups = itertools.groupby(cells, key=lambda cell: cell[:2])
+    rows = [(n, b, [x for *_, x in row]) for (n, b), row in groups]
+    _, log_objective, _ = sn.bounds._bernstein_search(rows)
     return [math.exp(v) for v in log_objective]
 
 
@@ -128,12 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     import selfnorm as sn
 
     cells = _cells(sn)
-    batched = hasattr(sn.bounds, "_bernstein_search")
     records = [_search_record(sn, "per_cell", _per_cell, cells[: SIZES[0]])]
-    if batched:
-        records += [_search_record(sn, "batched", _batched, cells[:size]) for size in SIZES]
-    else:
-        records.append(_search_record(sn, "per_cell", _per_cell, cells[: SIZES[1]]))
+    records += [_search_record(sn, "batched", _batched, cells[:size]) for size in SIZES]
     records += [_bound_bn_record(sn, cells), *_sweep_records(sn)]
     for rec in records:
         gap = rec.get("max_rel_gap_to_bound_bn")

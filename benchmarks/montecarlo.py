@@ -5,11 +5,11 @@ with tail index 1.5 and 0.01) under the three statistics at n = 20 with
 50,000 trials, plus the Gaussian running maximum at n = 1000 with 5,000
 trials, all on one thread.  Two stages are also timed on their own, one
 block each: simulate._draw_values (the Philox words and the magnitude and
-sign transform) per law, and simulate._statistic (the reduction) per
-statistic on the Gaussian block, so the share of the half-normal quantile
-in a Gaussian draw shows.  A third kind of record times run_sweep, with two
-threads, on the grids of the benchmark's `sweep` workload: one grid per
-n = 12, 16, 17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher
+sign transform) per law, and simulate._statistics (the reduction, at one
+beta) per statistic on the Gaussian block, so the share of the half-normal
+quantile in a Gaussian draw shows.  A third kind of record times run_sweep,
+with two threads, on the grids of the benchmark's `sweep` workload: one grid
+per n = 12, 16, 17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher
 trials, so the Monte Carlo stream and the enumeration an n shares across
 its betas show.  Rates go under a label in BENCH_montecarlo.json
 with the core count, the numpy version, the git sha of the measured source
@@ -99,7 +99,7 @@ def _stage_record(stage: str, law: str, n: int, rows: int, call) -> dict:
 
 
 def _stage_records(sn, laws: dict) -> list[dict]:
-    from selfnorm.simulate import _draw_values, _statistic, _trial_block
+    from selfnorm.simulate import _draw_values, _statistics, _trial_block
 
     records = []
     for n in (N, BIG_N):
@@ -112,7 +112,8 @@ def _stage_records(sn, laws: dict) -> list[dict]:
         vals = _draw_values(laws["gaussian"], n, SEED, 0, rows)
         for stat in sn.STATS if n == N else (sn.RUNNING_MAX,):
             records.append(_stage_record(
-                f"statistic:{stat}", "gaussian", n, rows, lambda: _statistic(vals, stat, 1.5)
+                f"statistic:{stat}", "gaussian", n, rows,
+                lambda: _statistics(vals, stat, (1.5,))[0],
             ))
     return records
 

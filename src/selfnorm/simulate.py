@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
@@ -36,8 +36,6 @@ __all__ = [
     "LogRatePoint",
     "wilson_interval",
     "respects",
-    "trial_stream",
-    "sample_vector",
     "estimate_tail",
     "estimate_tail_multi",
     "efron_check",
@@ -214,27 +212,34 @@ def _trial_block(n: int) -> int:
     return max(1, min(_TRIAL_BLOCK, rows))
 
 
-def _map_blocks(count_block, total: int, workers: int, block: int) -> list:
-    """Apply count_block over contiguous index ranges of at most block
-    indices each, threaded when asked.
+def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Trials lo..hi-1 of seed's stream: trial i reads raw words
+    [i c, (i + 1) c) of Philox(key=seed), c = _doubles_per_trial(n)."""
+    spec.check_length(n)
+    c = _doubles_per_trial(n)
+    bit_gen = Philox(key=seed)
+    bit_gen.advance(lo * c // 4)
+    return _transform(spec, bit_gen.random_raw((hi - lo, c)), n)
 
-    Per-range results are pure functions of the range, and the caller
-    combines them by integer addition, so the outcome is identical for any
+
+def _map_blocks(count, spec, n: int, seed: int, trials: int, workers: int):
+    """Sum count(values) over the blocks of trials 0..trials-1, each block
+    drawn by _draw_values, threaded when asked.
+
+    A block's count is a pure function of its trial range, and the counts
+    are combined by integer addition, so the outcome is identical for any
     worker count.
     """
-    ranges = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-    if workers == 1 or len(ranges) == 1:
-        return [count_block(lo, hi) for lo, hi in ranges]
+    block = _trial_block(n)
+
+    def count_block(lo: int) -> int | np.ndarray:
+        return count(_draw_values(spec, n, seed, lo, min(lo + block, trials)))
+
+    starts = range(0, trials, block)
+    if workers == 1 or len(starts) == 1:
+        return sum(map(count_block, starts))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: count_block(*r), ranges))
-
-
-def trial_stream(seed: int, n: int, trial_index: int) -> Generator:
-    """Generator positioned at trial_index's private slice of the stream."""
-    c = _doubles_per_trial(n)
-    bit_gen = Philox(key=_check_seed(seed))
-    bit_gen.advance(trial_index * c // 4)
-    return Generator(bit_gen)
+        return sum(pool.map(count_block, starts))
 
 
 def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
@@ -273,17 +278,6 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
-def sample_vector(spec: DistributionSpec, n: int, stream: Generator) -> np.ndarray:
-    """Draw one length-n sample, consuming exactly 2n raw words.
-
-    With stream = trial_stream(seed, n, i) this reproduces row i of any
-    blocked estimation run with the same seed.
-    """
-    n = _check_n(n)
-    spec.check_length(n)
-    return _transform(spec, stream.bit_generator.random_raw((1, 2 * n)), n)[0]
-
-
 def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
     betas, the numerator reduced once; degenerate rows (zero sample deviation,
@@ -302,16 +296,6 @@ def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list
         zero = v == 0.0
         pairs.append((np.broadcast_to(zero, sums.shape), sums / np.where(zero, 1.0, v)))
     return pairs
-
-
-def _statistic(vals: np.ndarray, stat: str, b: float):
-    return _statistics(vals, stat, (b,))[0]
-
-
-def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    spec.check_length(n)
-    words = trial_stream(seed, n, lo).bit_generator.random_raw((hi - lo, _doubles_per_trial(n)))
-    return _transform(spec, words, n)
 
 
 def estimate_tail_multi(
@@ -344,15 +328,15 @@ def estimate_tail_multi(
     groups = [[i for i, b in enumerate(bs) if b == d] for d in distinct]
     fixed = spec.supports_exact()  # unit, two-point, fixed vector: one V_n per block
 
-    def count_block(lo: int, hi: int) -> np.ndarray:
+    def count(vals: np.ndarray) -> np.ndarray:
         counts = np.empty((2, len(cuts)), dtype=np.int64)  # hits, degenerate
-        pairs = _statistics(_draw_values(spec, n, seed, lo, hi), stat, distinct, fixed)
+        pairs = _statistics(vals, stat, distinct, fixed)
         for (degenerate, stats), group in zip(pairs, groups):
             counts[0, group] = _count_at(stats[~degenerate], [cuts[i] for i in group])
             counts[1, group] = degenerate.sum()
         return counts
 
-    counts = sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
+    counts = _map_blocks(count, spec, n, seed, trials, workers)
     estimates = []
     for h, degenerate in counts.T.tolist():
         low, high = wilson_interval(h, trials)
@@ -413,13 +397,12 @@ def efron_check(
     cut_t = tie_guarded(x)
     cut_ratio = tie_guarded(tau)
 
-    def count_block(lo: int, hi: int) -> int:
-        vals = _draw_values(spec, n, seed, lo, hi)
-        degenerate, t = _statistic(vals, TSTAT, 2.0)
-        ratio = _statistic(vals, FINAL_SUM, 2.0)[1]
+    def count(vals: np.ndarray) -> int:
+        degenerate, t = _statistics(vals, TSTAT, (2.0,))[0]
+        ratio = _statistics(vals, FINAL_SUM, (2.0,))[0][1]
         return int((~degenerate & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
 
-    return sum(_map_blocks(count_block, trials, workers, _trial_block(n)))
+    return _map_blocks(count, spec, n, seed, trials, workers)
 
 
 def _mix_seed(seed: int, k: int) -> int:

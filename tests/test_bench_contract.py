@@ -4,9 +4,14 @@ bench/tracing.py wraps the names in API_NAMES (on the package) and
 REPORT_NAMES (on selfnorm.report); bench/workloads.py passes worker counts
 positionally, including to the oracle, which only checks them.  These tests
 read both modules without changing them, so a rename or a dropped argument
-fails here instead of in the benchmark.
+fails here instead of in the benchmark.  The recording scripts under
+benchmarks/ are only parsed, so a name they use that the package no longer
+has fails here instead of at the next recording.
 """
 
+import ast
+import functools
+import importlib
 import sys
 from pathlib import Path
 
@@ -17,6 +22,7 @@ import selfnorm.cli
 from selfnorm import report
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCHMARKS = BENCH.parent / "benchmarks"
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +62,33 @@ def test_enumerate_pass_passes_its_checks(bench):
         result = op.call(api)
         assert op.check(result, earlier) == [], op.label
         earlier[op.label] = result
+
+
+def _sn_chain(node):
+    """The attribute names of an `sn.a.b` chain, outermost last, or None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return names[::-1] if isinstance(node, ast.Name) and node.id == "sn" else None
+
+
+def test_benchmark_scripts_use_existing_names():
+    checked, missing = [], []
+    for script in sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(), str(script))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("selfnorm"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    checked.append(f"{script.name}: {node.module}.{alias.name}")
+                    if not hasattr(module, alias.name):
+                        missing.append(checked[-1])
+            elif isinstance(node, ast.Attribute) and (chain := _sn_chain(node)):
+                checked.append(f"{script.name}: sn.{'.'.join(chain)}")
+                try:
+                    functools.reduce(getattr, chain, selfnorm)
+                except AttributeError:
+                    missing.append(checked[-1])
+    assert "montecarlo.py: selfnorm.simulate._draw_values" in checked
+    assert "bernstein.py: sn.bounds._bernstein_search" in checked
+    assert missing == []

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from selfnorm import (
@@ -21,9 +22,7 @@ from selfnorm import (
     estimate_tail,
     estimate_tail_multi,
     exact_tail,
-    sample_vector,
     tie_guarded,
-    trial_stream,
     v_norm,
     wilson_interval,
 )
@@ -32,9 +31,7 @@ from selfnorm.oracle import STATS, _bound_for
 from selfnorm.simulate import (
     Z99,
     TailEstimate,
-    _doubles_per_trial,
     _draw_values,
-    _statistic,
     _trial_block,
     respects,
 )
@@ -191,34 +188,38 @@ class TestStreams:
         estimate = estimate_tail(spec, n, beta, x, RUNNING_MAX, trials, seed)
         hits = 0
         for i in range(trials):
-            values = sample_vector(spec, n, trial_stream(seed, n, i))
+            values = _draw_values(spec, n, seed, i, i + 1)[0]
             v = v_norm(values, beta) if np.any(values) else 0.0
             if v > 0.0 and max(np.cumsum(values)) / v >= tie_guarded(x):
                 hits += 1
         assert estimate.hits == hits
 
-    def test_sample_vector_values(self):
-        values = sample_vector(DistributionSpec.two_point(2.5), 6, trial_stream(9, 6, 0))
+    def test_one_trial_values(self):
+        values = _draw_values(DistributionSpec.two_point(2.5), 6, 9, 0, 1)[0]
+        assert len(values) == 6
         assert set(np.abs(values)) == {2.5}
-        values = sample_vector(DistributionSpec.fixed([1.0, 2.0, 3.0]), 3, trial_stream(9, 3, 4))
+        values = _draw_values(DistributionSpec.fixed([1.0, 2.0, 3.0]), 3, 9, 4, 5)[0]
         assert list(np.abs(values)) == [1.0, 2.0, 3.0]
 
-    def test_sample_vector_checks_length(self):
+    def test_one_trial_checks_length(self):
         with pytest.raises(ValueError):
-            sample_vector(DistributionSpec.fixed([1.0, 2.0]), 3, trial_stream(0, 3, 0))
+            _draw_values(DistributionSpec.fixed([1.0, 2.0]), 3, 0, 0, 1)
 
     def test_distinct_trials_differ(self):
         draws = {
-            tuple(sample_vector(DistributionSpec.gaussian(), 5, trial_stream(1, 5, i)))
-            for i in range(8)
+            tuple(_draw_values(DistributionSpec.gaussian(), 5, 1, i, i + 1)[0]) for i in range(8)
         }
         assert len(draws) == 8
 
 
 def reference_values(spec, n, seed, lo, hi):
-    """Rows lo..hi-1 from uniforms: Generator.random at the kernel's stride,
-    the first n of a row for magnitudes, the next n for signs."""
-    u = trial_stream(seed, n, lo).random((hi - lo, _doubles_per_trial(n)))
+    """Rows lo..hi-1 from uniforms: Generator.random at a stride of 2n words
+    rounded up to a multiple of 4, the first n of a row for magnitudes, the
+    next n for signs."""
+    stride = -(-2 * n // 4) * 4
+    bit_gen = Philox(key=seed)
+    bit_gen.advance(lo * stride // 4)
+    u = Generator(bit_gen).random((hi - lo, stride))
     u_mag, u_sign = u[:, :n], u[:, n : 2 * n]
     sign = np.where(u_sign < 0.5, 1, -1)
     if spec.kind == "rademacher":
@@ -275,7 +276,7 @@ class TestRawWordKernel:
             assert np.array_equal(block.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
             for i in (lo, hi - 1):
                 with np.errstate(over="ignore"):
-                    row = sample_vector(spec, n, trial_stream(seed, n, i))
+                    row = _draw_values(spec, n, seed, i, i + 1)[0]
                 assert np.array_equal(row.view(np.uint64), block[i - lo].view(np.uint64))
 
     def test_cases_the_bit_check_must_see(self):
@@ -298,7 +299,7 @@ class TestRawWordKernel:
         # efron_check reduces one block under two statistics.
         vals = _draw_values(DistributionSpec.gaussian(), 9, 5, 2, 300)
         before = vals.copy()
-        _statistic(vals, stat, beta)
+        simulate._statistics(vals, stat, (beta,))
         assert np.array_equal(vals.view(np.uint64), before.view(np.uint64))
 
 
@@ -393,7 +394,7 @@ class TestEstimateTailMulti:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(trials):
-                values = sample_vector(spec, n, trial_stream(seed, n, i))
+                values = _draw_values(spec, n, seed, i, i + 1)[0]
                 stats.append(values.sum() / (np.abs(values) ** beta).sum() ** (1.0 / beta))
             multi = estimate_tail_multi(spec, n, beta, xs, FINAL_SUM, trials, seed)
         stats = np.array(stats)
@@ -565,8 +566,7 @@ class TestFixedMagnitudeNorm:
 
 class TestTransformScales:
     def _magnitudes(self, spec, count=20000):
-        stream = trial_stream(123, count, 0)
-        return np.abs(sample_vector(spec, count, stream))
+        return np.abs(_draw_values(spec, count, 123, 0, 1)[0])
 
     def test_pareto_median(self):
         mags = self._magnitudes(DistributionSpec.pareto(1.2))
@@ -583,9 +583,7 @@ class TestTransformScales:
         assert float(np.sqrt((mags**2).mean())) == pytest.approx(1.0, rel=0.03)
 
     def test_signs_are_balanced(self):
-        values = sample_vector(
-            DistributionSpec.rademacher(), 20000, trial_stream(77, 20000, 0)
-        )
+        values = _draw_values(DistributionSpec.rademacher(), 20000, 77, 0, 1)[0]
         assert set(np.unique(values)) == {-1.0, 1.0}
         assert abs(values.sum()) < 4.0 * math.sqrt(20000)
 
