@@ -23,7 +23,9 @@ Modes:
 
 The first 3,200 cells are one bound_table sweep call; all 25,600 are the
 whole table.  Search records carry the largest relative gap between the
-numeric minimum and bound_bn over the cells whose bound does not underflow.
+numeric minimum and bound_bn over the cells whose bound does not underflow,
+and the mean and largest number of search steps per cell (a traced bench
+run does not book the bound layer's work, so this is where it shows).
 The bound_bn, run_sweep and render_csv records carry a sha256 of their
 output (the values and the CSV, at 12 significant digits), and the script
 exits 1 when one differs from the same record under another label.  The
@@ -51,15 +53,16 @@ def _cells(sn) -> list[tuple[int, float, float]]:
     return [(n, b, sn.threshold_from_s(n, b, s)) for n in TABLE_N for b in BETAS for s in LEVELS]
 
 
-def _per_cell(sn, cells) -> list[float]:
-    return [sn.bernstein_numeric(*cell).objective_value for cell in cells]
+def _per_cell(sn, cells) -> tuple[list[float], list[int]]:
+    results = [sn.bernstein_numeric(*cell) for cell in cells]
+    return [r.objective_value for r in results], [r.iterations for r in results]
 
 
-def _batched(sn, cells) -> list[float]:
+def _batched(sn, cells) -> tuple[list[float], list[int]]:
     groups = itertools.groupby(cells, key=lambda cell: cell[:2])
     rows = [(n, b, [x for *_, x in row]) for (n, b), row in groups]
-    _, log_objective, _ = sn.bounds._bernstein_search(rows)
-    return [math.exp(v) for v in log_objective]
+    _, log_objective, iterations = sn.bounds._bernstein_search(rows)
+    return [math.exp(v) for v in log_objective], iterations.tolist()
 
 
 def _bound_bn(sn, cells) -> list[float]:
@@ -85,12 +88,20 @@ def _record(mode: str, cells: int, timing, **fields) -> dict:
 
 def _search_record(sn, mode: str, run, cells) -> dict:
     timing = record.timed(lambda: run(sn, cells), MIN_SECONDS)
+    values, steps = timing[3]
     gap = 0.0
-    for (n, beta, x), value in zip(cells, timing[3]):
+    for (n, beta, x), value in zip(cells, values):
         closed = sn.bound_bn(n, beta, x).value
         if closed > 0.0:
             gap = max(gap, abs(value - closed) / closed)
-    return _record(mode, len(cells), timing, max_rel_gap_to_bound_bn=gap)
+    return _record(
+        mode,
+        len(cells),
+        timing,
+        max_rel_gap_to_bound_bn=gap,
+        mean_steps=sum(steps) / len(steps),
+        max_steps=max(steps),
+    )
 
 
 def _bound_bn_record(sn, cells) -> dict:
@@ -121,9 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     records += [_bound_bn_record(sn, cells), *_sweep_records(sn)]
     for rec in records:
         gap = rec.get("max_rel_gap_to_bound_bn")
+        search = "" if gap is None else (
+            f"  gap={gap:.2e} steps={rec['mean_steps']:.1f} (max {rec['max_steps']})"
+        )
         print(
             f"{rec['mode']:<9} cells={rec['cells']:<6} {rec['best_s']:9.4f} s "
-            f"{rec['cells_per_s']:11.0f} cells/s" + ("" if gap is None else f"  gap={gap:.2e}")
+            f"{rec['cells_per_s']:11.0f} cells/s" + search
         )
     return record.write(
         args,

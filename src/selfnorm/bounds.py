@@ -305,18 +305,22 @@ def lambda_star(n: int, beta: float, x: float) -> float:
     """Closed-form minimizer of the exponential-moment objective.
 
     lambda*(x) = (n^(1/beta) / 2) log((n^((beta-1)/beta) + x) /
-    (n^((beta-1)/beta) - x)); +inf at and beyond the endpoint.
+    (n^((beta-1)/beta) - x)); +inf at and beyond the endpoint.  Evaluated as
+    n^(1/beta) atanh(s), since the log of the rounded ratio loses digits as
+    1e-16 / s.
     """
     n, b, x = _check_cell(n, beta, x)
     nb = _endpoint(n, b)
     if x >= nb:
         return math.inf
-    return 0.5 * float(n) ** (1.0 / b) * math.log((nb + x) / (nb - x))
+    return float(n) ** (1.0 / b) * math.atanh(x / nb)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITERATIONS = 200
-_TOL = 1e-10  # relative width at which the golden-section bracket stops
+# Relative width at which the bisection bracket stops.  The sign of f'
+# resolves it; the value of f, flat near its minimum, resolves only about
+# sqrt(eps) relative.
+_TOL = 1e-10
 
 
 def bernstein_numeric(n: int, beta: float, x: float) -> BernsteinResult:
@@ -356,11 +360,13 @@ def _bernstein_search(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     math.exp of the minimum.
 
     Works on f(lambda) = -lambda x + n log_cosh(lambda / n^(1/beta)), which
-    is strictly convex: a doubling search brackets each minimum (the
-    derivative turns positive once tanh(lambda/n^(1/beta)) exceeds s), then
-    golden-section refines it.  Every cell runs the same float operations
-    in its own array entry and stops moving once its bracket is narrow
-    enough, so its result does not depend on the other cells.
+    is strictly convex with f'(lambda) = n^((beta-1)/beta) (tanh(lambda /
+    n^(1/beta)) - s): a doubling search brackets each minimum, then bisection
+    on the sign of f' refines it.  Neither step evaluates f, whose value is
+    flat to within rounding near the minimum; only the minimum returned
+    does.  Every cell runs the same float operations in its own array entry
+    and stops moving once its bracket is narrow enough, so its result does
+    not depend on the other cells.
     """
     # Powers of n as Python floats; float(n): a Python int past 2^64 would
     # make an object array.
@@ -371,55 +377,45 @@ def _bernstein_search(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.concatenate([np.empty(0)] + [xs for *_, xs in rows])
     s = x / np.repeat([_endpoint(m, b) for m, b, _ in rows], sizes)
 
-    # Bracket: f'(lam) > 0 once tanh(lam / n^(1/beta)) > s, which a doubling
-    # search reaches because s < 1.
+    # Bracket: a doubling search reaches a point past the minimum because s < 1.
     hi = n1b.copy()
-    low = np.tanh(hi / n1b) <= s
+    low = ~_past_minimum(hi, n1b, s)
     while low.any():
         hi[low] *= 2.0
         if (hi[low] > 1e300).any():
             raise RuntimeError("bracketing the exponential-moment minimum failed")
-        low = np.tanh(hi / n1b) <= s
+        low = ~_past_minimum(hi, n1b, s)
 
-    # Golden-section on the cells still open, which all have run the same
-    # number of steps; a cell leaves with its midpoint once its bracket is
-    # narrow enough.
+    # Bisection on the cells still open, which all have run the same number
+    # of steps; a cell leaves with its midpoint once its bracket is narrow
+    # enough.
     lam = np.empty_like(hi)
     iterations = np.empty(n.size, dtype=int)
     lo = np.zeros_like(hi)
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    cell, cn, cn1b, cx = np.arange(n.size), n, n1b, x
-    fc, fd = _moment_log(c, cn, cn1b, cx), _moment_log(d, cn, cn1b, cx)
+    cell, cn1b, cs = np.arange(n.size), n1b, s
     step = 0
     while True:
-        done = ~(hi - lo > _TOL * np.maximum(1.0, 0.5 * (lo + hi)))
+        mid = 0.5 * (lo + hi)
+        done = ~(hi - lo > _TOL * np.maximum(1.0, mid))
         if done.any():
-            lam[cell[done]] = 0.5 * (lo[done] + hi[done])
+            lam[cell[done]] = mid[done]
             iterations[cell[done]] = step
             keep = ~done
-            lo, hi, c, d, fc, fd, cell, cn, cn1b, cx = (
-                a[keep] for a in (lo, hi, c, d, fc, fd, cell, cn, cn1b, cx)
-            )
+            lo, hi, mid, cell, cn1b, cs = (a[keep] for a in (lo, hi, mid, cell, cn1b, cs))
         if not cell.size:
             break
         if step >= _MAX_ITERATIONS:
-            raise RuntimeError(
-                f"golden-section search did not converge in {_MAX_ITERATIONS} iterations"
-            )
-        # Where f(c) < f(d) the minimum lies in [lo, d]: d <- c and a new c.
-        # Elsewhere it lies in [c, hi]: c <- d and a new d.
-        left = fc < fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        width = _INV_PHI * (hi - lo)
-        probe = np.where(left, hi - width, lo + width)
-        f_probe = _moment_log(probe, cn, cn1b, cx)
-        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
-        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+            raise RuntimeError(f"bisection search did not converge in {_MAX_ITERATIONS} iterations")
+        past = _past_minimum(mid, cn1b, cs)
+        hi = np.where(past, mid, hi)
+        lo = np.where(past, lo, mid)
         step += 1
     return lam, _moment_log(lam, n, n1b, x), iterations
+
+
+def _past_minimum(lam, n1b, s):
+    """Where f'(lambda) > 0, that is tanh(lambda / n^(1/beta)) > s."""
+    return np.tanh(lam / n1b) > s
 
 
 def _moment_log(lam, n, n1b, x):

@@ -182,7 +182,7 @@ def bernstein_consistency() -> str:
             f"objective off by rel {dev_obj:.3e} at n={n} beta={beta} s={s}",
         )
         _require(
-            dev_lam <= 1e-6,
+            dev_lam <= 1e-8,
             f"minimizer off by rel {dev_lam:.3e} at n={n} beta={beta} s={s}",
         )
     return f"{len(grid)} cells: objective within {worst_obj:.2e}, minimizer within {worst_lam:.2e}"

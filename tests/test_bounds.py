@@ -296,7 +296,7 @@ class TestBernstein:
     def test_closed_form_spot_value(self):
         result = bernstein_numeric(4, 2.0, 1.0)
         assert result.objective_value == pytest.approx(16.0 / 27.0, rel=1e-9)
-        assert result.lambda_star == pytest.approx(math.log(3.0), rel=1e-6)
+        assert result.lambda_star == pytest.approx(math.log(3.0), rel=1e-8)
         assert 0 < result.iterations < 200
 
     def test_minimizer_formula(self):
@@ -304,14 +304,29 @@ class TestBernstein:
         assert lambda_star(16, 3.0, 3.1748021039363989) == pytest.approx(
             1.3841647481661342, rel=1e-12
         )
+        # 10^10 atanh(10^-10) = 1 + 3e-21; the log of the rounded ratio
+        # (10^10 + 1) / (10^10 - 1) gave 1.00000008.
+        assert lambda_star(10**20, 2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_closed_form_on_mixed_cells(self):
         for n, beta, x, expected in INTERIOR_REFERENCE:
             result = bernstein_numeric(n, beta, x)
             assert result.objective_value == pytest.approx(expected, rel=1e-9)
             assert result.lambda_star == pytest.approx(
-                lambda_star(n, beta, x), rel=1e-6
+                lambda_star(n, beta, x), rel=1e-8
             )
+
+    def test_minimizer_resolves_past_the_flat_objective(self):
+        # Near its minimum f is flat to within rounding; a search that
+        # compared values of f stopped on that noise, 1.8e-7 off lambda_star
+        # after up to 58 steps.  The sign of f' resolves the bracket width.
+        for n in (1, 2, 20, 10**4, 10**16):
+            for beta in (1.1, 1.2, 1.5, 2.0, 3.0):
+                for s in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+                    x = threshold_from_s(n, beta, s)
+                    result = bernstein_numeric(n, beta, x)
+                    assert result.lambda_star == pytest.approx(lambda_star(n, beta, x), rel=1e-8)
+                    assert result.iterations <= 40
 
     def test_log_objective_is_the_attained_minimum(self):
         result = bernstein_numeric(4, 2.0, 1.0)
@@ -336,7 +351,7 @@ class TestBernstein:
         # n as a Python int past 2^64 made the search's cell an object array.
         result = bernstein_numeric(n, 2.0, 1.0)
         assert result.log_objective == pytest.approx(bound_bn(n, 2.0, 1.0).log_value, rel=1e-9)
-        assert result.lambda_star == pytest.approx(lambda_star(n, 2.0, 1.0), rel=1e-6)
+        assert result.lambda_star == pytest.approx(lambda_star(n, 2.0, 1.0), rel=1e-8)
 
 
 class TestBernsteinBatch:

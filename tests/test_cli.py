@@ -119,13 +119,13 @@ class TestBoundCommand:
             (
                 "--n 20 --s 0.5 --kind bernstein",
                 "kind=bernstein n=20 beta=2 x=2.2360679775 s=0.5 regime=interior "
-                "lambda_star=2.45657178166 iterations=50 log_value=-2.61624071882 "
+                "lambda_star=2.45657175841 iterations=35 log_value=-2.61624071882 "
                 "value=0.0730770643367",
             ),
             (
                 "--n 10000 --beta 1.2 --s 0.9 --kind bernstein",
                 "kind=bernstein n=10000 beta=1.2 x=4.17742995025 s=0.9 regime=interior "
-                "lambda_star=3171.80076716 iterations=49 log_value=-4946.31937214 value=0",
+                "lambda_star=3171.80073968 iterations=34 log_value=-4946.31937214 value=0",
             ),
             (
                 "--n 20 --s 0.5 --kind corollary",
@@ -516,12 +516,12 @@ class TestProcessLevel:
 
     def test_numeric_minimizer_failure_exits_one(self, capsys, monkeypatch):
         def fail(*args):
-            raise RuntimeError("golden-section search did not converge in 200 iterations")
+            raise RuntimeError("bisection search did not converge in 200 iterations")
 
         monkeypatch.setattr(cli, "bernstein_numeric", fail)
         code, out, err = run_cli(capsys, *"bound --kind bernstein --n 4 --s 0.5".split())
         assert (code, out) == (1, "")
-        assert err == "error: golden-section search did not converge in 200 iterations\n"
+        assert err == "error: bisection search did not converge in 200 iterations\n"
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
