@@ -317,9 +317,8 @@ class TestBernstein:
             )
 
     def test_minimizer_resolves_past_the_flat_objective(self):
-        # Near its minimum f is flat to within rounding; a search that
-        # compared values of f stopped on that noise, 1.8e-7 off lambda_star
-        # after up to 58 steps.  The sign of f' resolves the bracket width.
+        # Near its minimum f is flat to within rounding, so a search on the
+        # values of f cannot reach the bracket width; the sign of f' can.
         for n in (1, 2, 20, 10**4, 10**16):
             for beta in (1.1, 1.2, 1.5, 2.0, 3.0):
                 for s in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
