@@ -4,14 +4,17 @@ bench/tracing.py wraps the names in API_NAMES (on the package) and
 REPORT_NAMES (on selfnorm.report); bench/workloads.py passes worker counts
 positionally, including to the oracle, which only checks them.  These tests
 read both modules without changing them, so a rename or a dropped argument
-fails here instead of in the benchmark.  The recording scripts under
-benchmarks/ are only parsed, so a name they use that the package no longer
-has fails here instead of at the next recording.
+fails here instead of in the benchmark.  The recording script under
+benchmarks/ is only parsed, so a name it uses that the package no longer
+has fails here instead of at the next recording.  It must not use what the
+oracle keeps only for bench/ (exact_tstat_tail, a worker count), so that
+those names can go once bench/ stops calling them.
 """
 
 import ast
 import functools
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -73,10 +76,28 @@ def _sn_chain(node):
     return names[::-1] if isinstance(node, ast.Name) and node.id == "sn" else None
 
 
+def _pins_oracle(node, workers_at: dict) -> bool:
+    """Whether node names exact_tstat_tail or passes a worker count to
+    exact_tail or exact_tail_multi."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in workers_at and (
+            len(node.args) > workers_at[name] or any(k.arg == "workers" for k in node.keywords)
+        )
+    names = (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+    return "exact_tstat_tail" in names
+
+
 def test_benchmark_scripts_use_existing_names():
-    checked, missing = [], []
+    workers_at = {
+        name: list(inspect.signature(getattr(selfnorm, name)).parameters).index("workers")
+        for name in ("exact_tail", "exact_tail_multi")
+    }
+    checked, missing, pinned = [], [], []
     for script in sorted(BENCHMARKS.glob("*.py")):
         for node in ast.walk(ast.parse(script.read_text(), str(script))):
+            if _pins_oracle(node, workers_at):
+                pinned.append(f"{script.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("selfnorm"):
                 module = importlib.import_module(node.module)
                 for alias in node.names:
@@ -89,6 +110,7 @@ def test_benchmark_scripts_use_existing_names():
                     functools.reduce(getattr, chain, selfnorm)
                 except AttributeError:
                     missing.append(checked[-1])
-    assert "montecarlo.py: selfnorm.simulate._draw_values" in checked
-    assert "bernstein.py: sn.bounds._bernstein_search" in checked
+    assert "record.py: selfnorm.simulate._draw_values" in checked
+    assert "record.py: sn.bounds._bernstein_search" in checked
     assert missing == []
+    assert pinned == []
