@@ -103,7 +103,9 @@ class ExactTail:
 
 
 def _magnitude_array(mags) -> np.ndarray:
-    """mags as a float vector: non-empty, finite, nonnegative, one positive."""
+    """mags, non-empty, finite, nonnegative and with one positive, as a float
+    vector over its largest entry.  Every statistic here is scale-free; at
+    unit scale V_n stays finite and >= 1 and S_n^2 finite whatever the input's."""
     arr = np.asarray(mags, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("magnitudes must form a non-empty one-dimensional sequence")
@@ -111,7 +113,7 @@ def _magnitude_array(mags) -> np.ndarray:
         raise ValueError("magnitudes must be finite and nonnegative")
     if not np.any(arr > 0.0):
         raise ValueError("at least one magnitude must be positive")
-    return arr
+    return arr / arr.max()
 
 
 def _check_magnitudes(mags) -> np.ndarray:
@@ -121,9 +123,7 @@ def _check_magnitudes(mags) -> np.ndarray:
             f"enumeration over 2^{arr.size} sign vectors exceeds the "
             f"n <= {MAX_ENUM_N} budget; use Monte Carlo estimation instead"
         )
-    # Every statistic here is scale-free; with the largest magnitude at 1,
-    # V_n stays finite and >= 1 and S_n^2 finite whatever the scale.
-    return arr / arr.max()
+    return arr
 
 
 def _count_at(stats: np.ndarray, cuts) -> np.ndarray:

@@ -66,7 +66,7 @@ class DistributionSpec:
     """A symmetric sampling law: magnitude source plus independent sign.
 
     kind selects the magnitude law; a, tail_index and magnitudes carry the
-    kind-specific parameter and are ignored otherwise.
+    kind-specific parameter and are ignored otherwise; magnitudes is kept at unit scale.
     """
 
     kind: str
@@ -129,11 +129,9 @@ class DistributionSpec:
             )
 
     def exact_magnitudes(self, n: int) -> list[float]:
-        """The fixed magnitude vector this law implies for sample size n."""
-        if self.kind == "rademacher":
+        """The fixed magnitude vector this law implies for sample size n, at unit scale."""
+        if self.kind in ("rademacher", "two_point"):
             return [1.0] * n
-        if self.kind == "two_point":
-            return [self.a] * n
         if self.kind == "fixed_magnitudes":
             self.check_length(n)
             return list(self.magnitudes)
@@ -207,7 +205,7 @@ def _doubles_per_trial(n: int) -> int:
 
 def _trial_block(n: int) -> int:
     # Trials per block: 2^15 up to n = 20; beyond, as many as fit in n = 20's
-    # 10 MB of words, so block memory stays bounded whatever n is.
+    # 10 MB of words, and past n = 655,360 one trial of 16n bytes of words.
     rows = _TRIAL_BLOCK * _doubles_per_trial(20) // _doubles_per_trial(n)
     return max(1, min(_TRIAL_BLOCK, rows))
 
@@ -280,21 +278,22 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
 
 def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
-    betas, the numerator reduced once; degenerate rows (zero sample deviation,
-    or V_n(b) = 0) hold garbage.  fixed: all rows share |values|, so row 0's V_n is theirs."""
+    betas, the numerator reduced once.  A degenerate row has no finite statistic:
+    V_n(b) or S / V_n(b) is not finite (V_n(b) = 0 included), or under tstat the row
+    is constant or t not finite.  fixed: all rows share |values|, so row 0's V_n is theirs."""
     if stat == TSTAT:
-        degenerate = (vals == vals[:, :1]).all(axis=1)
         means = vals.mean(axis=1)
         dev = vals - means[:, None]
         dev **= 2
-        ss = dev.sum(axis=1)
-        return [(degenerate, _t_value(vals.shape[1], means, ss))] * len(betas)
+        t = _t_value(vals.shape[1], means, dev.sum(axis=1))
+        return [((vals == vals[:, :1]).all(axis=1) | ~np.isfinite(t), t)] * len(betas)
     sums = np.cumsum(vals, axis=1).max(axis=1) if stat == RUNNING_MAX else vals.sum(axis=1)
     pairs = []
     for b in betas:
         v = _beta_norm(vals[:1] if fixed else vals, b)
-        zero = v == 0.0
-        pairs.append((np.broadcast_to(zero, sums.shape), sums / np.where(zero, 1.0, v)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stats = sums / v
+        pairs.append((~np.isfinite(stats) | ~np.isfinite(v), stats))
     return pairs
 
 
@@ -356,9 +355,10 @@ def estimate_tail(
 ) -> TailEstimate:
     """Estimate P(statistic >= x) with a 99% Wilson interval.
 
-    Degenerate trials (V_n = 0, or sample deviation zero under tstat) count
-    as non-hits and are tallied in degenerate_count.  Identical arguments
-    give identical hits for every worker count.
+    Degenerate trials have no finite statistic (V_n or S / V_n not finite, V_n = 0
+    included; under tstat a constant sample or a non-finite t): they count as non-hits
+    and are tallied in degenerate_count.  Fixed magnitudes count at unit scale, as in
+    the oracle.  Identical arguments give identical hits for every worker count.
 
     Args:
         spec: sampling law.

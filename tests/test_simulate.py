@@ -42,7 +42,8 @@ class TestDistributionSpec:
         assert DistributionSpec.rademacher().kind == "rademacher"
         assert DistributionSpec.two_point(3.7).a == 3.7
         assert DistributionSpec.pareto(1.2).tail_index == 1.2
-        assert DistributionSpec.fixed([1, 2, 3]).magnitudes == (1.0, 2.0, 3.0)
+        # Fixed magnitudes are stored over their largest entry (unit scale).
+        assert DistributionSpec.fixed([1, 2, 3]).magnitudes == (1.0 / 3.0, 2.0 / 3.0, 1.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -73,8 +74,10 @@ class TestDistributionSpec:
         assert not DistributionSpec.pareto(1.5).supports_exact()
 
     def test_exact_magnitudes(self):
-        assert DistributionSpec.two_point(2.5).exact_magnitudes(3) == [2.5] * 3
-        assert DistributionSpec.fixed([1.0, 2.0]).exact_magnitudes(2) == [1.0, 2.0]
+        # At unit scale: a two-point law's magnitudes are ones, as Rademacher's.
+        assert DistributionSpec.two_point(2.5).exact_magnitudes(3) == [1.0] * 3
+        assert DistributionSpec.rademacher().exact_magnitudes(3) == [1.0] * 3
+        assert DistributionSpec.fixed([1.0, 2.0]).exact_magnitudes(2) == [0.5, 1.0]
         with pytest.raises(ValueError):
             DistributionSpec.fixed([1.0, 2.0]).exact_magnitudes(3)
         with pytest.raises(ValueError):
@@ -195,11 +198,12 @@ class TestStreams:
         assert estimate.hits == hits
 
     def test_one_trial_values(self):
+        # Fixed magnitudes are filled at unit scale.
         values = _draw_values(DistributionSpec.two_point(2.5), 6, 9, 0, 1)[0]
         assert len(values) == 6
-        assert set(np.abs(values)) == {2.5}
+        assert set(np.abs(values)) == {1.0}
         values = _draw_values(DistributionSpec.fixed([1.0, 2.0, 3.0]), 3, 9, 4, 5)[0]
-        assert list(np.abs(values)) == [1.0, 2.0, 3.0]
+        assert list(np.abs(values)) == [1.0 / 3.0, 2.0 / 3.0, 1.0]
 
     def test_one_trial_checks_length(self):
         with pytest.raises(ValueError):
@@ -215,7 +219,8 @@ class TestStreams:
 def reference_values(spec, n, seed, lo, hi):
     """Rows lo..hi-1 from uniforms: Generator.random at a stride of 2n words
     rounded up to a multiple of 4, the first n of a row for magnitudes, the
-    next n for signs."""
+    next n for signs.  Fixed magnitudes are at unit scale: a two-point
+    magnitude is 1, and a fixed vector is divided by its largest entry."""
     stride = -(-2 * n // 4) * 4
     bit_gen = Philox(key=seed)
     bit_gen.advance(lo * stride // 4)
@@ -225,7 +230,7 @@ def reference_values(spec, n, seed, lo, hi):
     if spec.kind == "rademacher":
         mag = 1.0
     elif spec.kind == "two_point":
-        mag = spec.a
+        mag = 1.0
     elif spec.kind == "uniform_symmetric":
         mag = u_mag
     elif spec.kind == "gaussian":
@@ -234,6 +239,7 @@ def reference_values(spec, n, seed, lo, hi):
         mag = (u_mag + 2.0**-54) ** (-1.0 / spec.tail_index)
     else:
         mag = np.asarray(spec.magnitudes)
+        mag = mag / mag.max()
     return sign * mag
 
 
@@ -387,20 +393,28 @@ class TestEstimateTailMulti:
         assert multi == single
 
     def test_nan_statistics_stay_misses(self):
-        """Rows whose statistic is NaN count at no threshold."""
+        """Rows whose statistic is NaN count at no threshold; rows without a
+        finite statistic are counted as degenerate."""
         spec, n, beta, trials, seed = DistributionSpec.pareto(0.01), 10, 2.0, 3000, 4
         xs = [0.05, 0.5, 1.0]
-        stats = []
+        norms, stats = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(trials):
                 values = _draw_values(spec, n, seed, i, i + 1)[0]
-                stats.append(values.sum() / (np.abs(values) ** beta).sum() ** (1.0 / beta))
+                norms.append((np.abs(values) ** beta).sum() ** (1.0 / beta))
+                stats.append(values.sum() / norms[-1])
             multi = estimate_tail_multi(spec, n, beta, xs, FINAL_SUM, trials, seed)
+            big = estimate_tail(spec, n, beta, 0.5, FINAL_SUM, 100_000, 1)
         stats = np.array(stats)
+        degenerate = ~(np.isfinite(norms) & np.isfinite(stats))
         assert np.isnan(stats).sum() > 0
         for x, est in zip(xs, multi):
             assert est.hits == int((stats >= tie_guarded(x)).sum())
+            assert est.degenerate_count == degenerate.sum() > 0
+        # Hits as under the earlier rule, which counted these rows as silent
+        # misses (degenerate 0).
+        assert (big.hits, big.degenerate_count) == (37112, 25155)
 
     def test_empty_thresholds(self):
         assert estimate_tail_multi(DistributionSpec.gaussian(), 4, 2.0, [], trials=100) == []
@@ -435,8 +449,8 @@ class TestPerThresholdBeta:
     # (beta, x) pair given twice.
     XS = (0.9, 0.2, 1.6, 0.9, 0.05, 9.0, 0.2, 0.6)
     BETAS = (2.0, 1.5, 3.0, 1.5, 1.2, 2.0, 1.5, 3.0)
-    # 1e-200 magnitudes make V_n(2) underflow to 0 but not V_n(1.2), so the
-    # degenerate count differs between exponents.
+    # Magnitudes of 1e-200 are stored at unit scale, so they count as
+    # (1, 3, 2) do; test_degenerate_count_is_per_beta serves a 1e-200 block.
     LAWS = TestEstimateTailMulti.LAWS + [DistributionSpec.fixed([1e-200, 3e-200, 2e-200])]
 
     @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{s.kind}-{s.tail_index}")
@@ -454,12 +468,17 @@ class TestPerThresholdBeta:
             ]
         assert multi == single
 
-    def test_degenerate_count_is_per_beta(self):
-        # V_n is formed without rescaling (ROADMAP item 3), so it underflows
-        # at beta = 2 only; while it does, each exponent has its own count.
-        spec = DistributionSpec.fixed([1e-200, 3e-200, 2e-200])
+    def test_degenerate_count_is_per_beta(self, monkeypatch):
+        # Fixed laws are filled at unit scale, so a patched draw serves the
+        # block at 1e-200 scale.  Its V_n underflows at beta = 2 only, and
+        # each exponent keeps its own count.
+        draw = simulate._draw_values
+        monkeypatch.setattr(simulate, "_draw_values", lambda *args: draw(*args) * 1e-200)
+        spec = DistributionSpec.fixed([1.0, 3.0, 2.0])
         multi = estimate_tail_multi(spec, 3, [2.0, 1.2], [0.5, 0.5], FINAL_SUM, 1000, 3)
         assert [est.degenerate_count for est in multi] == [1000, 0]
+        single = [estimate_tail(spec, 3, b, 0.5, FINAL_SUM, 1000, 3) for b in (2.0, 1.2)]
+        assert multi == single
 
     def test_any_sequence_type(self):
         spec = DistributionSpec.uniform()
@@ -515,22 +534,26 @@ class TestFixedMagnitudeNorm:
     BETAS = (1.1, 1.5, 2.0, 2.7, 3.0)
 
     @staticmethod
-    def _laws(n):
+    def _blocks(n):
+        """Blocks of trials 10..1499 of laws without random magnitudes."""
         rng = np.random.default_rng(n)
-        return [
+        laws = [
             DistributionSpec.rademacher(),
             DistributionSpec.two_point(0.37),
             DistributionSpec.fixed(np.r_[0.0, rng.random(n - 1) * 1e3]),
-            # V_n underflows to 0 at beta >= 1.5 only: degenerate rows.
             DistributionSpec.fixed(np.r_[1e-200, 1e-210 * rng.random(n - 1)]),
         ]
+        assert all(spec.supports_exact() for spec in laws)
+        blocks = [_draw_values(spec, n, 4, 10, 1500) for spec in laws]
+        # Laws are filled at unit scale, so the degenerate rows come from the
+        # last block by hand at 1e-200 scale, every row alike: V_n underflows
+        # to 0 at beta >= 1.5 only.
+        return blocks + [blocks[-1] * 1e-200]
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 129, 1000])
     @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
     def test_fixed_equals_the_full_pass(self, n, stat):
-        for spec in self._laws(n):
-            assert spec.supports_exact()
-            vals = _draw_values(spec, n, 4, 10, 1500)
+        for vals in self._blocks(n):
             full = simulate._statistics(vals, stat, self.BETAS)
             fixed = simulate._statistics(vals, stat, self.BETAS, True)
             for (want_mask, want), (mask, got) in zip(full, fixed):
@@ -562,6 +585,41 @@ class TestFixedMagnitudeNorm:
         monkeypatch.setattr(simulate, "_beta_norm", recording)
         estimate_tail_multi(spec, 5, [1.5, 2.0], [0.5, 0.5], RUNNING_MAX, 3000)
         assert shapes == [(rows, 5)] * 2
+
+
+class TestScaleInvariance:
+    """The statistics are scale-free, and fixed magnitudes are filled at unit
+    scale as the oracle counts them, so no count depends on their scale."""
+
+    @pytest.mark.parametrize("stat", STATS)
+    def test_two_point_counts_as_rademacher_at_any_scale(self, stat):
+        laws = [DistributionSpec.two_point(a) for a in (1e-200, 1e200)]
+        counts = [
+            [(est.hits, est.degenerate_count)
+             for est in estimate_tail_multi(spec, 5, [1.5, 2.0], [1.0, 1.0], stat, 20000, 1)]
+            for spec in laws + [DistributionSpec.rademacher()]
+        ]
+        assert counts[0] == counts[1] == counts[2]
+        assert all(hits > 0 for hits, _ in counts[2])
+
+    @pytest.mark.parametrize("stat", STATS)
+    def test_fixed_vector_counts_alike_at_any_scale(self, stat):
+        mags = np.array([1.0, 0.25, 3.0, 2.0, 0.5])
+        betas, xs = [1.5, 2.0, 3.0], [0.5, 1.0, 0.8]
+        runs = [
+            estimate_tail_multi(DistributionSpec.fixed(mags * scale), 5, betas, xs, stat, 20000, 2)
+            for scale in (1e-200, 1.0, 1e200)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(est.hits > 0 for est in runs[1])
+
+    @pytest.mark.parametrize("stat", STATS)
+    def test_tiny_fixed_vector_matches_the_oracle(self, stat):
+        mags = [1e-200, 2e-200, 3e-200, 4e-200, 5e-200]
+        exact = exact_tail(mags, 2.0, 1.0, stat).probability
+        est = estimate_tail(DistributionSpec.fixed(mags), 5, 2.0, 1.0, stat, 20000, 1)
+        assert est.ci_low <= exact <= est.ci_high
+        assert est.degenerate_count == 0
 
 
 class TestTransformScales:
