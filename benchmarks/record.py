@@ -38,16 +38,20 @@ Each layer's records go under --label into its file in the directory --out
   the grids of the benchmark's `sweep` workload on two threads: one grid
   per n = 12, 16, 17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher
   trials, with a sha256 of the rendered CSV.
+- BENCH_import.json: `import selfnorm, selfnorm.cli` in IMPORT_RUNS fresh
+  interpreters, after one untimed run that caches the bytecode: the median
+  and fastest wall time of the import, the median peak RSS of the process,
+  and whether any of them loaded a scipy module.
 
 Everything else runs on one thread.  Each record repeats its call for at
-least MIN_SECONDS (the n = 30 oracle calls run once) and keeps the fastest
-and the median time.  Each file's run also stores the core count, the
-Python and numpy versions, the git sha of the measured tree, a sha256 of
-its selfnorm sources (which identifies uncommitted trees too) and their
-line count.  Other labels in a file are kept, so two trees can be recorded
-side by side and compared for speed.  Their outputs are compared as well:
-the script exits 1 when a hit count or digest differs from the same record
-under another label.
+least MIN_SECONDS (the n = 30 oracle calls run once; the import record's
+runs are counted) and keeps the fastest and the median time.  Each file's
+run also stores the core count, the Python and numpy versions, the git sha
+of the measured tree, a sha256 of its selfnorm sources (which identifies
+uncommitted trees too) and their line count.  Other labels in a file are
+kept, so two trees can be recorded side by side and compared for speed.
+Their outputs are compared as well: the script exits 1 when a hit count or
+digest differs from the same record under another label.
 """
 
 from __future__ import annotations
@@ -85,6 +89,19 @@ SEED = 20160601
 # The `sweep` workload's grids (bench/workloads.py), at fixed s levels.
 SWEEP_N, SWEEP_BETAS, SWEEP_TRIALS, SWEEP_WORKERS = (12, 16, 17), (1.5, 2.0), 65_536, 2
 SWEEP_S = tuple((k + 0.5) / 10 for k in range(10))
+IMPORT_RUNS = 15
+# Run in a fresh interpreter: import seconds, peak RSS in MB, scipy loaded.
+# The peak is VmHWM, not ru_maxrss: across fork and exec Linux carries the
+# spawning process's peak into the child's ru_maxrss.
+IMPORT_PROBE = """
+import re, sys, time
+start = time.perf_counter()
+import selfnorm, selfnorm.cli
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1)
+print(seconds, int(peak_kb) / 1024.0, any(name.split(".")[0] == "scipy" for name in sys.modules))
+"""
 
 
 def timed(call, min_seconds: float = MIN_SECONDS, **fields) -> tuple[dict, object]:
@@ -210,12 +227,27 @@ def montecarlo(sn) -> list[dict]:
     return records
 
 
+def imports(sn) -> list[dict]:
+    env = {**os.environ, "PYTHONPATH": str(Path(sn.__file__).resolve().parents[1])}
+    runs = []
+    for _ in range(IMPORT_RUNS + 1):
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        seconds, rss, scipy = done.stdout.split()
+        runs.append((float(seconds), float(rss), scipy == "True"))
+    seconds, rss, scipy = zip(*runs[1:])
+    return [{"mode": "import", "calls": IMPORT_RUNS, "best_s": min(seconds),
+             "median_s": statistics.median(seconds), "peak_rss_mb": statistics.median(rss),
+             "scipy_loaded": any(scipy)}]
+
+
 TOPICS = (
     ("BENCH_oracle.json", "sign vectors/s, fastest call, one thread", oracle),
     ("BENCH_bernstein.json", "cells/s, fastest pass, one thread", bernstein),
     ("BENCH_montecarlo.json",
      "trials/s (estimates), s per block (stages) and s per call (run_sweep), fastest call, "
      "one thread (run_sweep two)", montecarlo),
+    ("BENCH_import.json", "s per import, fresh interpreters", imports),
 )
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
 from .bounds import tstat_threshold
@@ -42,8 +41,9 @@ __all__ = [
     "empirical_log_rate",
 ]
 
-# Two-sided 99% normal quantile used by the Wilson score interval.
-Z99 = float(ndtri(0.995))
+# Two-sided 99% normal quantile used by the Wilson score interval, written
+# out (it is float(scipy.special.ndtri(0.995))) so that import loads no scipy.
+Z99 = 2.5758293035489004
 
 _TRIAL_BLOCK = 1 << 15
 _U64 = (1 << 64) - 1
@@ -257,11 +257,15 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
         np.right_shift(bits, 11, out=bits)
         vals = bits * 2.0**-53
         if kind == "gaussian":
-            # |N(0,1)| through the half-normal quantile; the half-ulp shift
-            # keeps the argument inside (0.5, 1).
+            # |N(0,1)| through the half-normal quantile (scipy loads on the
+            # first Gaussian draw).  The half-ulp shift keeps the argument
+            # above 0.5; the top word's rounds to 1.0, so clamp it below 1.
+            from scipy.special import ndtri
+
             vals += _HALF_ULP
             vals *= 0.5
             vals += 0.5
+            np.minimum(vals, 1.0 - 2.0**-53, out=vals)
             ndtri(vals, out=vals)
         elif kind == "symmetric_pareto":
             vals += _HALF_ULP

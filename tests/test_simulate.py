@@ -87,6 +87,8 @@ class TestDistributionSpec:
 class TestWilson:
     def test_99_percent_quantile(self):
         assert Z99 == pytest.approx(2.5758293035489004, rel=1e-14)
+        # Z99 is written out as a literal; this is what ties it to scipy.
+        assert Z99 == float(ndtri(0.995))
 
     def test_edge_cases_clamped(self):
         low, high = wilson_interval(0, 1000)
@@ -294,6 +296,19 @@ class TestRawWordKernel:
         block = _draw_values(signed_zero_law(20), 20, 8, 3, 40)
         zeros = block[block == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_gaussian_top_words_stay_finite(self):
+        # The largest 53-bit word's quantile argument 0.5 + 0.5 (u + 2^-54)
+        # rounds to 1.0, where ndtri is inf; it is clamped to the double
+        # below 1.  The seven words under it keep their values bit for bit.
+        words = np.zeros((1, 16), dtype=np.uint64)
+        words[0, :8] = [((1 << 53) - 1 - k) << 11 for k in range(8)]
+        vals = simulate._transform(DistributionSpec.gaussian(), words, 8)[0]
+        u = (2.0**53 - 1 - np.arange(8)) * 2.0**-53
+        unclamped = ndtri(0.5 + 0.5 * (u + 2.0**-54))
+        assert np.isinf(unclamped[0])
+        assert np.array_equal(vals[1:].view(np.uint64), unclamped[1:].view(np.uint64))
+        assert vals[0] == ndtri(1.0 - 2.0**-53) == pytest.approx(8.2095361516, rel=1e-10)
 
     def test_pareto_overflow_still_warns(self):
         with pytest.warns(RuntimeWarning, match="overflow"):
