@@ -46,7 +46,6 @@ __all__ = [
     "bernstein_numeric",
     "tstat_threshold",
     "bound_tstat",
-    "two_sided_bound",
 ]
 
 _LN2 = math.log(2.0)
@@ -470,13 +469,3 @@ def _t_value(n: int, mean, ss):
 def bound_tstat(n: int, x: float) -> BoundEvaluation:
     """Tail bound for Student's t-statistic: B_n(2, tstat_threshold(n, x))."""
     return bound_bn(n, 2.0, tstat_threshold(n, x))
-
-
-def _two_sided(evaluation: BoundEvaluation) -> tuple[float, float]:
-    """(log value, value) of the two-sided bound min(1, 2 B_n) from one B_n."""
-    return min(0.0, _LN2 + evaluation.log_value), min(1.0, 2.0 * evaluation.value)
-
-
-def two_sided_bound(n: int, beta: float, x: float) -> float:
-    """Two-sided version min(1, 2 B_n(beta, x)) from the sign symmetry."""
-    return _two_sided(bound_bn(n, beta, x))[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -20,7 +21,6 @@ from . import verify as verify_mod
 from .bounds import (
     _corollary_log,
     _rescaled_x,
-    _two_sided,
     alpha_in_mdp_window,
     bernstein_numeric,
     bound_bn,
@@ -138,10 +138,9 @@ def _bound_record(args) -> list[tuple[str, object]]:
             ("log_value", result.log_objective),
             ("value", result.objective_value),
         ]
-    if args.kind == "two-sided":
-        log_value, value = _two_sided(evaluation)
-    else:
-        log_value, value = evaluation.log_value, evaluation.value
+    log_value, value = evaluation.log_value, evaluation.value
+    if args.kind == "two-sided":  # min(1, 2 B_n), from the sign symmetry
+        log_value, value = min(0.0, math.log(2.0) + log_value), min(1.0, 2.0 * value)
     return pairs + [("log_value", log_value), ("value", value)]
 
 
@@ -150,15 +149,13 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _oracle_magnitudes(args, dist: DistributionSpec) -> tuple[int, np.ndarray]:
-    if not dist.supports_exact():
-        raise ValueError(f"distribution {dist.kind!r} has no finite sign-vector enumeration")
-    n = args.n
-    if n is None:
-        if dist.kind != "fixed_magnitudes":
-            raise ValueError("--n is required")
-        n = len(dist.magnitudes)
-    return n, dist.exact_magnitudes(n)
+def _sample_size(args, dist: DistributionSpec) -> int:
+    """n of an oracle or simulate cell: --n, else the length of a mags: vector."""
+    if args.n is not None:
+        return args.n
+    if dist.magnitudes is None:
+        raise ValueError("--n is required")
+    return len(dist.magnitudes)
 
 
 def _cell(args, stat: str, n: int):
@@ -175,7 +172,10 @@ def _cell(args, stat: str, n: int):
 def cmd_oracle(args) -> int:
     stat = _STATS[args.stat]
     dist = _parse_dist(args.dist)
-    n, mags = _oracle_magnitudes(args, dist)
+    if not dist.supports_exact():
+        raise ValueError(f"distribution {dist.kind!r} has no finite sign-vector enumeration")
+    n = _sample_size(args, dist)
+    mags = dist.exact_magnitudes(n)
     x, beta, evaluation, fields = _cell(args, stat, n)
     tail = exact_tail(mags, beta, x, stat)
     pairs = [("n", n), *fields, ("stat", args.stat), ("hits", tail.hits), ("total", tail.total)]
@@ -189,9 +189,7 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     stat = _STATS[args.stat]
     dist = _parse_dist(args.dist)
-    n = args.n
-    if n is None:
-        raise ValueError("--n is required")
+    n = _sample_size(args, dist)
     x, beta, evaluation, fields = _cell(args, stat, n)
     estimate = estimate_tail(dist, n, beta, x, stat, args.trials, args.seed)
     bound = evaluation.value

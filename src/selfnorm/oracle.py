@@ -164,9 +164,8 @@ def _resolve_workers(workers: int | None) -> int:
             workers = 0
         if workers < 1:
             raise ValueError(f"SELFNORM_THREADS must be a positive integer, got {text!r}")
-    elif workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+        return workers
+    return _check_n(workers, name="worker count")
 
 
 def _double(states: np.ndarray, mags: np.ndarray) -> np.ndarray:

@@ -69,22 +69,27 @@ class SweepGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Each field keeps what its check returns: Python ints and floats,
+        # whatever numeric types were passed, so every row renders as JSON.
         if not self.n_values or not self.beta_values or not self.s_values:
             raise ValueError("sweep grid axes must be non-empty")
-        for axis, values, check in (("n", self.n_values, _check_n),
-                                    ("beta", self.beta_values, _check_beta)):
-            if len({check(value) for value in values}) < len(values):
+        for axis, check in (("n", _check_n), ("beta", _check_beta)):
+            values = tuple(map(check, getattr(self, f"{axis}_values")))
+            if len(set(values)) < len(values):
                 raise ValueError(f"sweep {axis} values must not repeat")
+            object.__setattr__(self, f"{axis}_values", values)
         if self.stat not in (RUNNING_MAX, FINAL_SUM):
             raise ValueError(
                 f"sweep stat must be {RUNNING_MAX!r} or {FINAL_SUM!r}, got {self.stat!r}"
             )
-        if any(not 0.0 < s <= 1.0 for s in self.s_values):
+        levels = tuple(map(float, self.s_values))
+        if any(not 0.0 < s <= 1.0 for s in levels):
             raise ValueError("sweep s values must lie in (0, 1]")
-        if any(a >= b for a, b in zip(self.s_values, self.s_values[1:])):
+        if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("sweep s values must be sorted ascending")
-        _check_n(self.trials, minimum=0, name="trials")
-        _check_seed(self.seed)
+        object.__setattr__(self, "s_values", levels)
+        object.__setattr__(self, "trials", _check_n(self.trials, minimum=0, name="trials"))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:

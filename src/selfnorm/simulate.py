@@ -53,7 +53,6 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 _KINDS = (
     "rademacher",
-    "two_point",
     "uniform_symmetric",
     "gaussian",
     "symmetric_pareto",
@@ -65,21 +64,17 @@ _KINDS = (
 class DistributionSpec:
     """A symmetric sampling law: magnitude source plus independent sign.
 
-    kind selects the magnitude law; a, tail_index and magnitudes carry the
+    kind selects the magnitude law; tail_index and magnitudes carry the
     kind-specific parameter and are ignored otherwise; magnitudes is kept at unit scale.
     """
 
     kind: str
-    a: float = 1.0
     tail_index: float = 0.0
     magnitudes: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "two_point":
-            if not math.isfinite(self.a) or self.a <= 0.0:
-                raise ValueError(f"two-point magnitude must be > 0, got {self.a!r}")
         if self.kind == "symmetric_pareto":
             if not math.isfinite(self.tail_index) or self.tail_index <= 0.0:
                 raise ValueError(f"tail index must be > 0, got {self.tail_index!r}")
@@ -93,7 +88,11 @@ class DistributionSpec:
 
     @classmethod
     def two_point(cls, a: float) -> "DistributionSpec":
-        return cls("two_point", a=float(a))
+        """Magnitude a with a fair sign: the Rademacher law, as every statistic is scale-free."""
+        a = float(a)
+        if not math.isfinite(a) or a <= 0.0:
+            raise ValueError(f"two-point magnitude must be > 0, got {a!r}")
+        return cls.rademacher()
 
     @classmethod
     def uniform(cls) -> "DistributionSpec":
@@ -118,7 +117,7 @@ class DistributionSpec:
 
     def supports_exact(self) -> bool:
         """True when sign enumeration applies: magnitudes carry no randomness."""
-        return self.kind in ("rademacher", "two_point", "fixed_magnitudes")
+        return self.kind in ("rademacher", "fixed_magnitudes")
 
     def check_length(self, n: int) -> None:
         """Reject sample size n when a fixed magnitude vector has another length."""
@@ -130,7 +129,7 @@ class DistributionSpec:
 
     def exact_magnitudes(self, n: int) -> list[float]:
         """The fixed magnitude vector this law implies for sample size n, at unit scale."""
-        if self.kind in ("rademacher", "two_point"):
+        if self.kind == "rademacher":
             return [1.0] * n
         if self.kind == "fixed_magnitudes":
             self.check_length(n)
@@ -251,12 +250,14 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
     # The sign uniform is < 0.5 exactly when its word's top bit is 0; keep
     # only that bit.
     np.bitwise_and(sign_bits, _SIGN_BIT, out=sign_bits)
-    kind = spec.kind
-    if kind in ("uniform_symmetric", "gaussian", "symmetric_pareto"):
+    if spec.supports_exact():
+        vals = np.empty(bits.shape)
+        vals[...] = spec.exact_magnitudes(n)
+    else:
         # numpy's next_double: the top 53 bits on the 2^-53 grid of [0, 1).
         np.right_shift(bits, 11, out=bits)
         vals = bits * 2.0**-53
-        if kind == "gaussian":
+        if spec.kind == "gaussian":
             # |N(0,1)| through the half-normal quantile (scipy loads on the
             # first Gaussian draw).  The half-ulp shift keeps the argument
             # above 0.5; the top word's rounds to 1.0, so clamp it below 1.
@@ -267,12 +268,9 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
             vals += 0.5
             np.minimum(vals, 1.0 - 2.0**-53, out=vals)
             ndtri(vals, out=vals)
-        elif kind == "symmetric_pareto":
+        elif spec.kind == "symmetric_pareto":
             vals += _HALF_ULP
             vals **= -1.0 / spec.tail_index
-    else:
-        vals = np.empty(bits.shape)
-        vals[...] = spec.exact_magnitudes(n)
     # XOR flips the value's sign bit where the sign word's is 1, as
     # -1.0 * magnitude does (for -0.0 and inf too; magnitudes are never NaN).
     val_bits = vals.view(np.uint64)
@@ -329,7 +327,7 @@ def estimate_tail_multi(
         return []
     distinct = list(dict.fromkeys(bs))
     groups = [[i for i, b in enumerate(bs) if b == d] for d in distinct]
-    fixed = spec.supports_exact()  # unit, two-point, fixed vector: one V_n per block
+    fixed = spec.supports_exact()  # unit or fixed vector: one V_n per block
 
     def count(vals: np.ndarray) -> np.ndarray:
         counts = np.empty((2, len(cuts)), dtype=np.int64)  # hits, degenerate

@@ -31,7 +31,6 @@ from selfnorm import (
     mdp_alpha_window,
     threshold_from_s,
     tstat_threshold,
-    two_sided_bound,
     v_norm,
 )
 from selfnorm.bounds import _bernstein_search, _beta_norm
@@ -481,16 +480,6 @@ class TestTstat:
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
             tstat_threshold(1, 1.0)
-
-
-class TestTwoSided:
-    def test_doubles_the_one_sided_bound(self):
-        assert two_sided_bound(4, 2.0, 1.8) == pytest.approx(
-            0.27654531922209656, rel=1e-12
-        )
-
-    def test_caps_at_one(self):
-        assert two_sided_bound(4, 2.0, 1.0) == 1.0
 
 
 class TestValidation:

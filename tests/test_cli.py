@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from selfnorm import cli, parse_csv
+from selfnorm import bound_bn, cli, parse_csv
 from selfnorm.cli import main
 
 
@@ -250,6 +250,26 @@ class TestBoundCommand:
         assert code == 2
 
 
+class TestTwoSided:
+    """The two-sided bound min(1, 2 B_n) is the `bound --kind two-sided` record,
+    read here at full precision before it is printed."""
+
+    @staticmethod
+    def two_sided(x: str) -> dict:
+        argv = ["bound", "--n", "4", "--beta", "2", "--x", x, "--kind", "two-sided"]
+        return dict(cli._bound_record(cli.build_parser().parse_args(argv)))
+
+    def test_doubles_the_one_sided_bound(self):
+        record = self.two_sided("1.8")
+        assert record["value"] == pytest.approx(0.27654531922209656, rel=1e-12)
+        assert record["value"] == 2.0 * bound_bn(4, 2.0, 1.8).value
+        assert record["log_value"] == math.log(2.0) + bound_bn(4, 2.0, 1.8).log_value
+
+    def test_caps_at_one(self):
+        record = self.two_sided("1.0")
+        assert (record["log_value"], record["value"]) == (0.0, 1.0)
+
+
 class TestOracleCommand:
     def test_endpoint_tightness_example(self, capsys):
         code, out, _ = run_cli(
@@ -368,6 +388,50 @@ class TestSimulateCommand:
 
     def test_missing_n(self, capsys):
         assert run_cli(capsys, *"simulate --x 1 --dist gaussian".split())[0] == 2
+
+    @pytest.mark.parametrize("command", ["oracle", "simulate"])
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ("twopoint", "twopoint needs a magnitude, e.g. twopoint:3.7"),
+            ("twopoint:0", "two-point magnitude must be > 0, got 0.0"),
+            ("mags:", "mags needs a file path, e.g. mags:weights.txt"),
+        ],
+    )
+    def test_bad_distribution_messages(self, capsys, command, dist, message):
+        code, out, err = run_cli(capsys, command, "--n", "4", "--x", "1", "--dist", dist)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["oracle", "simulate"])
+    def test_empty_mags_file(self, capsys, tmp_path, command):
+        path = tmp_path / "mags.txt"
+        path.write_text("\n \n", encoding="ascii")
+        code, out, err = run_cli(capsys, command, "--x", "1", "--dist", f"mags:{path}")
+        assert (code, out, err) == (2, "", f"error: no magnitudes found in {str(path)!r}\n")
+
+    @pytest.mark.parametrize(
+        "stat, threshold",
+        [("running-max", "--s 0.5"), ("final-sum", "--s 0.3"), ("tstat", "--x 1.2")],
+    )
+    @pytest.mark.parametrize("a", ["1e-200", "3.7", "1e200"])
+    def test_two_point_prints_the_rademacher_record(self, capsys, a, stat, threshold):
+        argv = ["simulate", "--n", "6", "--stat", stat, *threshold.split(), "--trials", "4000"]
+        code, out, err = run_cli(capsys, *argv, "--dist", f"twopoint:{a}")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"dist=twopoint:{a} ")
+        want = run_cli(capsys, *argv, "--dist", "rademacher")[1]
+        assert out.split(" ", 1)[1] == want.split(" ", 1)[1]
+        assert int(record(out)["hits"]) > 0
+
+    def test_mags_file_sets_n(self, capsys, tmp_path):
+        # As oracle does: without --n, n is the length of the mags: vector.
+        path = tmp_path / "mags.txt"
+        path.write_text("1.0\n2.0\n0.5\n3.0\n", encoding="ascii")
+        argv = ["simulate", "--dist", f"mags:{path}", "--s", "0.4", "--trials", "4000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert record(out)["n"] == "4"
+        assert out == run_cli(capsys, *argv, "--n", "4")[1]
 
 
 class TestSweepCommand:

@@ -25,10 +25,13 @@ from selfnorm import (
     TSTAT,
     DistributionSpec,
     ExactTail,
+    SweepGrid,
+    efron_check,
     estimate_tail,
     exact_tail,
     exact_tail_multi,
     exact_tstat_tail,
+    run_sweep,
     threshold_from_s,
     tie_guarded,
     tstat_threshold,
@@ -550,6 +553,36 @@ class TestValidation:
         monkeypatch.setenv("SELFNORM_THREADS", "abc")
         with pytest.raises(ValueError, match="SELFNORM_THREADS"):
             exact_tail([1.0] * 3, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (True, "worker count must be an integer, got True"),
+            (2.5, "worker count must be an integer, got 2.5"),
+            ("2", "worker count must be an integer, got '2'"),
+            (0, "worker count must be >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["exact_tail", "estimate_tail", "efron_check", "run_sweep"])
+    def test_every_entry_point_checks_the_worker_count(self, entry, workers, message):
+        call = {
+            "exact_tail": lambda: exact_tail([1.0] * 3, 2.0, 1.0, workers=workers),
+            "estimate_tail": lambda: estimate_tail(
+                DistributionSpec.rademacher(), 3, 2.0, 1.0, trials=10, workers=workers
+            ),
+            "efron_check": lambda: efron_check(
+                DistributionSpec.gaussian(), 3, 1.0, trials=10, workers=workers
+            ),
+            "run_sweep": lambda: run_sweep(SweepGrid((3,), (2.0,), (0.5,), trials=10), workers),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_worker_count_is_accepted(self):
+        spec = DistributionSpec.rademacher()
+        assert estimate_tail(spec, 5, 2.0, 1.0, trials=3000, workers=np.int64(2)) == (
+            estimate_tail(spec, 5, 2.0, 1.0, trials=3000, workers=1)
+        )
 
     def test_sum_statistics_enumerate_in_one_thread(self, monkeypatch):
         # Every statistic enumerates in one thread, whatever workers says:

@@ -1,5 +1,6 @@
 """Sweep rows against the single-threshold oracle and estimator."""
 
+import json
 import math
 import re
 import sys
@@ -20,6 +21,7 @@ from selfnorm import (
     exact_tail,
     parse_csv,
     render_csv,
+    render_json,
     run_sweep,
     threshold_from_s,
 )
@@ -27,15 +29,23 @@ from selfnorm import bounds, simulate
 from selfnorm.report import COLUMNS, _format_cell
 
 S_VALUES = (0.1, 0.35, 0.6, 1.0)
+# two_point(a) returns a Rademacher law; its cases keep their own test id.
+TWO_POINT = DistributionSpec.two_point(2.5)
+
+
+def law_id(dist) -> str:
+    return "two_point" if dist is TWO_POINT else dist.kind
+
+
 LAWS = [
     DistributionSpec.rademacher(),
-    DistributionSpec.two_point(2.5),
+    TWO_POINT,
     DistributionSpec.fixed([1.0, 0.5, 2.0, 0.0, 3.0, 1e-6]),
     DistributionSpec.gaussian(),
 ]
 
 
-@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", LAWS, ids=law_id)
 @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
 def test_rows_equal_single_threshold_calls(dist, stat):
     n_values = (6,) if dist.kind == "fixed_magnitudes" else (3, 6, 9)
@@ -61,7 +71,7 @@ def test_rows_equal_single_threshold_calls(dist, stat):
     assert next(rows, None) is None
 
 
-@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", LAWS, ids=law_id)
 @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
 def test_rows_equal_the_grid_split_by_beta(dist, stat):
     # One enumeration and one Monte Carlo stream per n serve every beta; the
@@ -201,11 +211,58 @@ def test_grid_rejects_nan_levels(s_values):
         SweepGrid((4,), (2.0,), s_values)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_grid_rejects_an_empty_axis(axis):
+    axes = [(4,), (2.0,), (0.5,)]
+    axes[axis] = ()
+    with pytest.raises(ValueError, match="^sweep grid axes must be non-empty$"):
+        SweepGrid(*axes, trials=0)
+
+
+class TestNumpyTypedGrid:
+    """A grid keeps what its checks return, so numpy-typed settings render as
+    the Python-typed ones do, in JSON too."""
+
+    PYTHON = SweepGrid((4, 6), (1.5, 2.0), (0.5, 1.0), trials=200, seed=7)
+    NUMPY = SweepGrid(
+        (np.int64(4), np.int32(6)),
+        (np.float64(1.5), np.float32(2.0)),
+        (np.float64(0.5), np.int64(1)),
+        trials=np.int64(200),
+        seed=np.uint64(7),
+    )
+
+    def test_fields_are_python_numbers(self):
+        assert self.NUMPY == self.PYTHON
+        grid = self.NUMPY
+        for value in (*grid.n_values, grid.trials, grid.seed):
+            assert type(value) is int
+        for value in (*grid.beta_values, *grid.s_values):
+            assert type(value) is float
+
+    def test_renders_the_same_bytes(self):
+        rows, want = run_sweep(self.NUMPY), run_sweep(self.PYTHON)
+        assert render_csv(rows) == render_csv(want)
+        assert render_json(rows) == render_json(want)
+
+    def test_integer_beta_and_level_render_as_floats(self):
+        # As a CLI grid's do: the CLI parses both axes as floats.
+        record = json.loads(render_json(run_sweep(SweepGrid((4,), (2,), (1,), trials=0))))[0]
+        assert (record["beta"], record["s"]) == (2.0, 1.0)
+        assert type(record["beta"]) is type(record["s"]) is float
+
+
 class TestParseCsv:
     TEXT = render_csv(run_sweep(SweepGrid((4,), (2.0,), (0.5, 1.0), trials=0)))
 
     def test_round_trip(self):
         assert render_csv(parse_csv(self.TEXT)) == self.TEXT
+
+    def test_rejects_a_foreign_header(self):
+        text = self.TEXT.replace("mc_p_hat", "p_hat", 1)
+        header = tuple(text.split("\n")[0].split(","))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unexpected sweep header {header!r}')}$"):
+            parse_csv(text)
 
     def test_rejects_empty_text(self):
         # An IndexError before the check.

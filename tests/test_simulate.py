@@ -15,6 +15,7 @@ from selfnorm import (
     RUNNING_MAX,
     TSTAT,
     DistributionSpec,
+    SweepGrid,
     bound_bn,
     bound_tstat,
     efron_check,
@@ -40,7 +41,8 @@ from selfnorm.simulate import (
 class TestDistributionSpec:
     def test_constructors_round_trip(self):
         assert DistributionSpec.rademacher().kind == "rademacher"
-        assert DistributionSpec.two_point(3.7).a == 3.7
+        # Every statistic is scale-free, so a two-point law is the Rademacher law.
+        assert DistributionSpec.two_point(3.7) == DistributionSpec.rademacher()
         assert DistributionSpec.pareto(1.2).tail_index == 1.2
         # Fixed magnitudes are stored over their largest entry (unit scale).
         assert DistributionSpec.fixed([1, 2, 3]).magnitudes == (1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -139,6 +141,14 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        message = f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            estimate_tail(DistributionSpec.rademacher(), 4, 2.0, 1.0, trials=10, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            SweepGrid((4,), (2.0,), (0.5,), trials=0, seed=seed)
+
 
 class TestBlockMemory:
     def test_small_n_keeps_the_fixed_partition(self):
@@ -175,9 +185,18 @@ class TestBlockMemory:
         assert est.hits == 629
 
 
+# two_point(a) returns a Rademacher law; the cases built from this one keep
+# their own test id.
+TWO_POINT = DistributionSpec.two_point(2.5)
+
+
+def law_id(spec) -> str:
+    return "two_point" if spec is TWO_POINT else spec.kind
+
+
 SPECS = [
     DistributionSpec.rademacher(),
-    DistributionSpec.two_point(2.5),
+    TWO_POINT,
     DistributionSpec.uniform(),
     DistributionSpec.gaussian(),
     DistributionSpec.pareto(1.2),
@@ -186,7 +205,7 @@ SPECS = [
 
 
 class TestStreams:
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=law_id)
     def test_blocked_counting_equals_per_trial_replay(self, spec):
         """The blocked estimator must reproduce trial-by-trial replay exactly."""
         n, beta, x, trials, seed = 4, 2.0, 0.8, 700, 31
@@ -221,8 +240,8 @@ class TestStreams:
 def reference_values(spec, n, seed, lo, hi):
     """Rows lo..hi-1 from uniforms: Generator.random at a stride of 2n words
     rounded up to a multiple of 4, the first n of a row for magnitudes, the
-    next n for signs.  Fixed magnitudes are at unit scale: a two-point
-    magnitude is 1, and a fixed vector is divided by its largest entry."""
+    next n for signs.  Fixed magnitudes are at unit scale: a fixed vector is
+    divided by its largest entry."""
     stride = -(-2 * n // 4) * 4
     bit_gen = Philox(key=seed)
     bit_gen.advance(lo * stride // 4)
@@ -230,8 +249,6 @@ def reference_values(spec, n, seed, lo, hi):
     u_mag, u_sign = u[:, :n], u[:, n : 2 * n]
     sign = np.where(u_sign < 0.5, 1, -1)
     if spec.kind == "rademacher":
-        mag = 1.0
-    elif spec.kind == "two_point":
         mag = 1.0
     elif spec.kind == "uniform_symmetric":
         mag = u_mag
@@ -255,7 +272,7 @@ def signed_zero_law(n):
 # Laws of the bit-identity check by test id; None stands for signed_zero_law(n).
 BIT_LAWS = {
     "rademacher": DistributionSpec.rademacher(),
-    "two_point": DistributionSpec.two_point(2.5),
+    "two_point": TWO_POINT,
     "uniform": DistributionSpec.uniform(),
     "gaussian": DistributionSpec.gaussian(),
     "pareto1.2": DistributionSpec.pareto(1.2),
@@ -392,7 +409,7 @@ class TestEstimateTailMulti:
     XS = (0.9, 0.2, 1.6, 0.9, 0.05, 9.0)
     LAWS = SPECS[:5] + [DistributionSpec.pareto(0.01), DistributionSpec.fixed([1.0, 0.5, 2.0])]
 
-    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{s.kind}-{s.tail_index}")
+    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{law_id(s)}-{s.tail_index}")
     @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM, TSTAT])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_single_threshold_calls(self, spec, stat, workers):
@@ -468,7 +485,7 @@ class TestPerThresholdBeta:
     # (1, 3, 2) do; test_degenerate_count_is_per_beta serves a 1e-200 block.
     LAWS = TestEstimateTailMulti.LAWS + [DistributionSpec.fixed([1e-200, 3e-200, 2e-200])]
 
-    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{s.kind}-{s.tail_index}")
+    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: f"{law_id(s)}-{s.tail_index}")
     @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM, TSTAT])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_single_calls(self, spec, stat, workers):
@@ -583,11 +600,11 @@ class TestFixedMagnitudeNorm:
         "spec, rows",
         [
             (DistributionSpec.rademacher(), 1),
-            (DistributionSpec.two_point(2.5), 1),
+            (TWO_POINT, 1),
             (DistributionSpec.fixed([1.0, 0.5, 2.0, 0.0, 3.0]), 1),
             (DistributionSpec.gaussian(), 3000),
         ],
-        ids=lambda v: getattr(v, "kind", v),
+        ids=lambda v: law_id(v) if isinstance(v, DistributionSpec) else v,
     )
     def test_estimator_forms_v_n_once_per_block_for_exact_laws(self, monkeypatch, spec, rows):
         shapes = []
