@@ -31,13 +31,14 @@ Each layer's records go under --label into its file in the directory --out
   under the three statistics at n = 20 with 50,000 trials, plus the
   Gaussian running maximum at n = 1000 with 5,000 trials, with the hit
   count.  Stage records time one block of simulate._draw_values (the
-  Philox words and the magnitude and sign transform) per law, and of
-  simulate._statistics (the reduction, at one beta) per statistic on the
-  Gaussian block, so the share of the half-normal quantile in a Gaussian
-  draw shows; they carry a sha256 of the arrays.  run_sweep records time
-  the grids of the benchmark's `sweep` workload on two threads: one grid
-  per n = 12, 16, 17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher
-  trials, with a sha256 of the rendered CSV.
+  Philox words and the magnitude and sign transform) per law at n = 20, the
+  Gaussian one at n = 1000 and the Rademacher one at the sweep's n = 17,
+  and of simulate._statistics (the reduction, at one beta) per statistic
+  on the Gaussian block, so the share of the half-normal quantile in a
+  Gaussian draw shows; they carry a sha256 of the arrays.  run_sweep
+  records time the grids of the benchmark's `sweep` workload on two
+  threads: one grid per n = 12, 16, 17, beta = 1.5 and 2, ten s levels and
+  65,536 Rademacher trials, with a sha256 of the rendered CSV.
 - BENCH_import.json: `import selfnorm, selfnorm.cli` in IMPORT_RUNS fresh
   interpreters, after one untimed run that caches the bytecode: the median
   and fastest wall time of the import, the median peak RSS of the process,
@@ -51,7 +52,9 @@ of the measured tree, a sha256 of its selfnorm sources (which identifies
 uncommitted trees too) and their line count.  Other labels in a file are
 kept, so two trees can be recorded side by side and compared for speed.
 Their outputs are compared as well: the script exits 1 when a hit count or
-digest differs from the same record under another label.
+digest differs from the same record under another label.  A RuntimeWarning
+(an overflow in a draw, say) is an error: it stops the run, as a record of
+a non-finite output would measure nothing.
 """
 
 from __future__ import annotations
@@ -192,29 +195,27 @@ def montecarlo(sn) -> list[dict]:
     cells = [(law, MC_N, stat, MC_TRIALS) for law in laws for stat in sn.STATS]
     cells.append(("gaussian", MC_BIG_N, sn.RUNNING_MAX, MC_BIG_TRIALS))
     records = []
-    with warnings.catch_warnings():
-        # pareto(0.01) magnitudes overflow to inf; that is measured, not fixed, here.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for law, n, stat, trials in cells:
-            beta = 2.0 if stat == sn.TSTAT else 1.5
-            x = 1.0 if stat == sn.TSTAT else sn.threshold_from_s(n, beta, 0.3 if n == MC_N else 0.03)
-            rec, est = timed(
-                lambda: sn.estimate_tail(laws[law], n, beta, x, stat, trials, SEED, workers=1),
-                law=law, stat=stat, n=n, trials=trials,
-            )
-            records.append({**rec, "trials_per_s": trials / rec["best_s"], "hits": est.hits})
-        for n in (MC_N, MC_BIG_N):
-            rows = _trial_block(n)
-            for law, spec in laws.items():
-                if n == MC_N or law == "gaussian":
-                    rec, vals = timed(lambda: _draw_values(spec, n, SEED, 0, rows),
-                                      stage="draw", law=law, n=n, rows=rows)
-                    records.append({**rec, "digest": sha256(vals)})
-            vals = _draw_values(laws["gaussian"], n, SEED, 0, rows)
-            for stat in sn.STATS if n == MC_N else (sn.RUNNING_MAX,):
-                rec, pair = timed(lambda: _statistics(vals, stat, (1.5,))[0],
-                                  stage=f"statistic:{stat}", law="gaussian", n=n, rows=rows)
-                records.append({**rec, "digest": sha256(*pair)})
+    for law, n, stat, trials in cells:
+        beta = 2.0 if stat == sn.TSTAT else 1.5
+        x = 1.0 if stat == sn.TSTAT else sn.threshold_from_s(n, beta, 0.3 if n == MC_N else 0.03)
+        rec, est = timed(
+            lambda: sn.estimate_tail(laws[law], n, beta, x, stat, trials, SEED, workers=1),
+            law=law, stat=stat, n=n, trials=trials,
+        )
+        records.append({**rec, "trials_per_s": trials / rec["best_s"], "hits": est.hits})
+    draws = [(law, MC_N) for law in laws] + [("gaussian", MC_BIG_N), ("rademacher", max(SWEEP_N))]
+    for law, n in draws:
+        rows = _trial_block(n)
+        rec, vals = timed(lambda: _draw_values(laws[law], n, SEED, 0, rows),
+                          stage="draw", law=law, n=n, rows=rows)
+        records.append({**rec, "digest": sha256(vals)})
+    for n in (MC_N, MC_BIG_N):
+        rows = _trial_block(n)
+        vals = _draw_values(laws["gaussian"], n, SEED, 0, rows)
+        for stat in sn.STATS if n == MC_N else (sn.RUNNING_MAX,):
+            rec, pair = timed(lambda: _statistics(vals, stat, (1.5,))[0],
+                              stage=f"statistic:{stat}", law="gaussian", n=n, rows=rows)
+            records.append({**rec, "digest": sha256(*pair)})
     for n in SWEEP_N:
         grid = sn.SweepGrid((n,), SWEEP_BETAS, SWEEP_S, sn.RUNNING_MAX, laws["rademacher"],
                             SWEEP_TRIALS, SEED)
@@ -317,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     import selfnorm as sn
 
     env = _environment(src)
+    warnings.simplefilter("error", RuntimeWarning)
     mismatches = []
     for name, unit, measure in TOPICS:
         records = measure(sn)

@@ -5,10 +5,12 @@ coordinate draws a magnitude and, independently, a fair sign.  Trials live
 on a counter-based generator (Philox) at a fixed stride of raw 64-bit words
 per trial, so trial i consumes the same words no matter how the trial range
 is partitioned across workers; hit counts are therefore identical for any
-worker count.  A coordinate's magnitude uniform is its word's top 53 bits
-on a 2^-53 grid (numpy's Generator.random), and its sign is the top bit
-of a second word: the sign uniform is below 1/2 exactly when that bit is
-0.  A block's values are transformed in place in one contiguous array.
+worker count.  A trial's first words feed the magnitudes of a random law,
+one word each: the magnitude uniform is its word's top 53 bits on a 2^-53
+grid (numpy's Generator.random).  The next ceil(n/64) words feed the signs,
+one bit each: coordinate j is negative when bit j mod 64 of sign word
+j // 64 is 1.  A block's values are transformed in place in one contiguous
+array.
 
 Event membership uses the same 1e-9 relative threshold guard as the exact
 enumeration module, so sampled and enumerated counts classify discrete
@@ -49,7 +51,7 @@ _TRIAL_BLOCK = 1 << 15
 _U64 = (1 << 64) - 1
 # Half the uniform grid spacing; added to map [0, 1) draws into (0, 1).
 _HALF_ULP = 2.0**-54
-_SIGN_BIT = np.uint64(1 << 63)
+_SIGN_SHIFT = np.uint64(63)
 
 _KINDS = (
     "rademacher",
@@ -196,24 +198,26 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _doubles_per_trial(n: int) -> int:
-    # n magnitude words + n sign words, padded to the 4-per-counter
-    # granularity Philox advances in.
-    return ((2 * n + 3) // 4) * 4
+def _words_per_trial(spec: DistributionSpec, n: int) -> int:
+    # n magnitude words for a random law (none for a fixed one) and one sign
+    # bit per coordinate, padded to the 4-per-counter granularity Philox
+    # advances in.
+    m = 0 if spec.supports_exact() else n
+    return (m + (n + 63) // 64 + 3) // 4 * 4
 
 
 def _trial_block(n: int) -> int:
-    # Trials per block: 2^15 up to n = 20; beyond, as many as fit in n = 20's
-    # 10 MB of words, and past n = 655,360 one trial of 16n bytes of words.
-    rows = _TRIAL_BLOCK * _doubles_per_trial(20) // _doubles_per_trial(n)
-    return max(1, min(_TRIAL_BLOCK, rows))
+    # Trials per block, sized by the (rows, n) values array: 2^15 up to
+    # n = 20; beyond, as many as fit in n = 20's 5 MB of values, and past
+    # n = 655,360 one trial.
+    return max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK * 20 // n))
 
 
 def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Trials lo..hi-1 of seed's stream: trial i reads raw words
-    [i c, (i + 1) c) of Philox(key=seed), c = _doubles_per_trial(n)."""
+    [i c, (i + 1) c) of Philox(key=seed), c = _words_per_trial(spec, n)."""
     spec.check_length(n)
-    c = _doubles_per_trial(n)
+    c = _words_per_trial(spec, n)
     bit_gen = Philox(key=seed)
     bit_gen.advance(lo * c // 4)
     return _transform(spec, bit_gen.random_raw((hi - lo, c)), n)
@@ -242,39 +246,56 @@ def _map_blocks(count, spec, n: int, seed: int, trials: int, workers: int):
 def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
     """Turn each row of a uint64 block of raw words into n sample values.
 
-    Columns [0, n) of a row feed the magnitudes and columns [n, 2n) the
-    signs; both are used as scratch.  The values go to one new contiguous
-    (rows, n) array, transformed in place there.
+    A random law's columns [0, n) feed the magnitudes and the first n bits
+    of the columns after them the signs; a fixed law's signs start at
+    column 0.  The magnitude columns are reused as scratch.  The values go
+    to one new contiguous (rows, n) array, transformed in place there.
     """
-    bits, sign_bits = words[:, :n], words[:, n : 2 * n]
-    # The sign uniform is < 0.5 exactly when its word's top bit is 0; keep
-    # only that bit.
-    np.bitwise_and(sign_bits, _SIGN_BIT, out=sign_bits)
-    if spec.supports_exact():
-        vals = np.empty(bits.shape)
-        vals[...] = spec.exact_magnitudes(n)
-    else:
-        # numpy's next_double: the top 53 bits on the 2^-53 grid of [0, 1).
-        np.right_shift(bits, 11, out=bits)
-        vals = bits * 2.0**-53
-        if spec.kind == "gaussian":
-            # |N(0,1)| through the half-normal quantile (scipy loads on the
-            # first Gaussian draw).  The half-ulp shift keeps the argument
-            # above 0.5; the top word's rounds to 1.0, so clamp it below 1.
-            from scipy.special import ndtri
+    m = 0 if spec.supports_exact() else n
+    # Sign bits in little-endian order, on any platform: byte k of a word
+    # holds bits 8k..8k+7.
+    sign_bytes = words[:, m:].astype("<u8", copy=False).view(np.uint8)
+    minus = np.unpackbits(sign_bytes, axis=1, count=n, bitorder="little")
+    if m == 0:
+        # The sign bits shifted into place, XOR the unit magnitudes' bits,
+        # are the values.
+        val_bits = np.left_shift(minus, _SIGN_SHIFT, dtype=np.uint64)
+        mags = np.asarray(spec.exact_magnitudes(n))
+        np.bitwise_xor(val_bits, mags.view(np.uint64), out=val_bits)
+        return val_bits.view(np.float64)
+    bits = words[:, :n]
+    # numpy's next_double: the top 53 bits on the 2^-53 grid of [0, 1).
+    np.right_shift(bits, 11, out=bits)
+    vals = bits * 2.0**-53
+    if spec.kind == "gaussian":
+        # |N(0,1)| through the half-normal quantile (scipy loads on the
+        # first Gaussian draw).  The half-ulp shift keeps the argument
+        # above 0.5; the top word's rounds to 1.0, so clamp it below 1.
+        from scipy.special import ndtri
 
-            vals += _HALF_ULP
-            vals *= 0.5
-            vals += 0.5
-            np.minimum(vals, 1.0 - 2.0**-53, out=vals)
-            ndtri(vals, out=vals)
-        elif spec.kind == "symmetric_pareto":
-            vals += _HALF_ULP
+        vals += _HALF_ULP
+        vals *= 0.5
+        vals += 0.5
+        np.minimum(vals, 1.0 - 2.0**-53, out=vals)
+        ndtri(vals, out=vals)
+    elif spec.kind == "symmetric_pareto":
+        vals += _HALF_ULP
+        if spec.tail_index < 1.0:
+            # u^(-1/alpha) overflows for small alpha.  The statistics are
+            # scale-free, so each row is drawn over its largest magnitude,
+            # in logs: every value lies in [0, 1].
+            np.log(vals, out=vals)
+            vals *= -1.0 / spec.tail_index
+            vals -= vals.max(axis=1, keepdims=True)
+            np.exp(vals, out=vals)
+        else:
             vals **= -1.0 / spec.tail_index
-    # XOR flips the value's sign bit where the sign word's is 1, as
-    # -1.0 * magnitude does (for -0.0 and inf too; magnitudes are never NaN).
+    # XOR flips the value's sign bit where the sign bit is 1, as
+    # -1.0 * magnitude does (for -0.0 too; magnitudes are never NaN).  The
+    # magnitude words are spent, so the shifted signs go there.
+    np.left_shift(minus, _SIGN_SHIFT, out=bits)
     val_bits = vals.view(np.uint64)
-    np.bitwise_xor(val_bits, sign_bits, out=val_bits)
+    np.bitwise_xor(val_bits, bits, out=val_bits)
     return vals
 
 

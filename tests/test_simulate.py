@@ -167,11 +167,11 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
-        assert est.hits == 649
+        assert est.hits == 610
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
     def test_gaussian_block_transforms_in_place(self):
-        # One 327-trial block: 10 MB of raw words and one 5 MB values array,
+        # One 327-trial block: 5 MB of raw words and one 5 MB values array,
         # transformed in place; the words are freed before the reduction's
         # temporaries (separate sign, uniform and value matrices took 25 MB).
         spec = DistributionSpec.gaussian()
@@ -182,7 +182,21 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
-        assert est.hits == 629
+        assert est.hits == 616
+
+    def test_fixed_law_block_is_sized_by_values(self):
+        # A fixed law reads 4 words per trial at n = 1000, so a block sized by
+        # words would take 2^15 trials (262 MB of values); sized by values it
+        # is 655 trials: 5.2 MB of values, a byte per sign and 84 kB of words.
+        rows = _trial_block(1000)
+        tracemalloc.start()
+        try:
+            vals = _draw_values(DistributionSpec.rademacher(), 1000, 3, 0, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (655, 1000)
+        assert vals.nbytes <= peak < 1.5 * vals.nbytes
 
 
 # two_point(a) returns a Rademacher law; the cases built from this one keep
@@ -238,22 +252,35 @@ class TestStreams:
 
 
 def reference_values(spec, n, seed, lo, hi):
-    """Rows lo..hi-1 from uniforms: Generator.random at a stride of 2n words
-    rounded up to a multiple of 4, the first n of a row for magnitudes, the
-    next n for signs.  Fixed magnitudes are at unit scale: a fixed vector is
-    divided by its largest entry."""
-    stride = -(-2 * n // 4) * 4
-    bit_gen = Philox(key=seed)
-    bit_gen.advance(lo * stride // 4)
-    u = Generator(bit_gen).random((hi - lo, stride))
-    u_mag, u_sign = u[:, :n], u[:, n : 2 * n]
-    sign = np.where(u_sign < 0.5, 1, -1)
+    """Rows lo..hi-1 from uniforms and raw words.  A row of a random law reads
+    n magnitude uniforms (Generator.random) and then ceil(n/64) sign words; a
+    row of a fixed law reads the sign words only; the stride is rounded up to
+    a multiple of 4.  Coordinate j is negative when bit j % 64 of sign word
+    j // 64 is 1.  Fixed magnitudes are at unit scale: a fixed vector is
+    divided by its largest entry.  Pareto rows of tail index below 1 are
+    divided by their largest magnitude, in logs."""
+    m = 0 if spec.supports_exact() else n
+    stride = 4 * math.ceil((m + math.ceil(n / 64)) / 4)
+
+    def stream():
+        bit_gen = Philox(key=seed)
+        bit_gen.advance(lo * stride // 4)
+        return bit_gen
+
+    u_mag = Generator(stream()).random((hi - lo, stride))[:, :m]
+    sign_words = stream().random_raw((hi - lo, stride))[:, m:]
+    j = np.arange(n)
+    minus = (sign_words[:, j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    sign = np.where(minus == 1, -1, 1)
     if spec.kind == "rademacher":
         mag = 1.0
     elif spec.kind == "uniform_symmetric":
         mag = u_mag
     elif spec.kind == "gaussian":
         mag = ndtri(0.5 + 0.5 * (u_mag + 2.0**-54))
+    elif spec.kind == "symmetric_pareto" and spec.tail_index < 1.0:
+        logs = np.log(u_mag + 2.0**-54) * (-1.0 / spec.tail_index)
+        mag = np.exp(logs - logs.max(axis=1, keepdims=True))
     elif spec.kind == "symmetric_pareto":
         mag = (u_mag + 2.0**-54) ** (-1.0 / spec.tail_index)
     else:
@@ -305,11 +332,14 @@ class TestRawWordKernel:
                 assert np.array_equal(row.view(np.uint64), block[i - lo].view(np.uint64))
 
     def test_cases_the_bit_check_must_see(self):
-        # The bit check above must see infinities and both signed zeros: a
-        # sign set by OR instead of XOR differs only on a -0.0 magnitude.
-        with np.errstate(over="ignore"):
-            block = _draw_values(DistributionSpec.pareto(0.01), 20, 8, 3, 400)
-        assert np.isinf(block).any()
+        # The bit check above must see both signed zeros: a sign set by OR
+        # instead of XOR differs only on a -0.0 magnitude.  No law draws an
+        # infinity: pareto(0.01) rows lie in [0, 1], and their magnitudes
+        # that underflow give zeros of both signs.
+        block = _draw_values(DistributionSpec.pareto(0.01), 20, 8, 3, 400)
+        assert np.isfinite(block).all()
+        zeros = block[block == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         block = _draw_values(signed_zero_law(20), 20, 8, 3, 40)
         zeros = block[block == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
@@ -327,9 +357,16 @@ class TestRawWordKernel:
         assert np.array_equal(vals[1:].view(np.uint64), unclamped[1:].view(np.uint64))
         assert vals[0] == ndtri(1.0 - 2.0**-53) == pytest.approx(8.2095361516, rel=1e-10)
 
-    def test_pareto_overflow_still_warns(self):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            _draw_values(DistributionSpec.pareto(0.01), 20, 8, 3, 400)
+    @pytest.mark.parametrize("tail_index", [0.01, 0.5, 0.999])
+    def test_pareto_below_one_is_drawn_over_the_row_maximum(self, tail_index):
+        # u^(-1/alpha) overflows for alpha < 0.053, so each row is drawn over
+        # its largest magnitude: it lies in [0, 1] and peaks at 1.
+        block = np.abs(_draw_values(DistributionSpec.pareto(tail_index), 20, 8, 0, 400))
+        assert (block.max(axis=1) == 1.0).all()
+        # Within a row the ratios are those of u^(-1/alpha), compared in logs.
+        logs = -np.log(Generator(Philox(key=8)).random(20) + 2.0**-54) / tail_index
+        kept = block[0] > 0.0
+        assert np.log(block[0, kept]) == pytest.approx(logs[kept] - logs.max(), abs=1e-9)
 
     @pytest.mark.parametrize("stat", STATS)
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
@@ -339,6 +376,52 @@ class TestRawWordKernel:
         before = vals.copy()
         simulate._statistics(vals, stat, (beta,))
         assert np.array_equal(vals.view(np.uint64), before.view(np.uint64))
+
+
+class TestPackedSigns:
+    """A trial reads m magnitude words (n for a random law, 0 for a fixed
+    one) and then ceil(n/64) sign words, padded to a multiple of 4; the sign
+    of coordinate j is bit j % 64 of sign word j // 64, and 1 means minus."""
+
+    STRIDES = {1: (4, 4), 63: (4, 64), 64: (4, 68), 65: (4, 68), 129: (4, 132)}
+
+    @pytest.mark.parametrize("n", STRIDES)
+    @pytest.mark.parametrize("spec", [DistributionSpec.rademacher(), DistributionSpec.uniform()],
+                             ids=law_id)
+    def test_sign_j_is_bit_j_of_the_sign_words(self, spec, n):
+        m = 0 if spec.supports_exact() else n
+        stride = simulate._words_per_trial(spec, n)
+        assert stride == self.STRIDES[n][m > 0]
+        seed, lo, hi = 17, 5, 40
+        block = _draw_values(spec, n, seed, lo, hi)
+        for i in range(lo, hi):
+            bit_gen = Philox(key=seed)
+            bit_gen.advance(i * stride // 4)
+            words = [int(w) for w in bit_gen.random_raw(stride)]
+            values = block[i - lo]
+            for j in range(n):
+                assert np.signbit(values[j]) == (words[m + j // 64] >> (j % 64)) & 1
+                # A uniform magnitude is its word's top 53 bits; a Rademacher one is 1.
+                assert abs(values[j]) == ((words[j] >> 11) * 2.0**-53 if m else 1.0)
+
+    @pytest.mark.parametrize("spec", [DistributionSpec.rademacher(), DistributionSpec.gaussian()],
+                             ids=law_id)
+    def test_threads_and_partitions_agree_across_blocks(self, spec):
+        n, beta, xs, trials, seed = 65, 2.0, [0.1, 0.3], 25_000, 6
+        assert trials > 2 * _trial_block(n)  # three blocks
+        runs = [
+            estimate_tail_multi(spec, n, beta, xs, RUNNING_MAX, trials, seed, workers)
+            for workers in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        # Counted again over a partition that is not the block partition.
+        hits = np.zeros(len(xs), dtype=np.int64)
+        for lo in range(0, trials, 7919):
+            vals = _draw_values(spec, n, seed, lo, min(lo + 7919, trials))
+            degenerate, stats = simulate._statistics(vals, RUNNING_MAX, (beta,))[0]
+            hits += [(stats[~degenerate] >= tie_guarded(x)).sum() for x in xs]
+        assert [est.hits for est in runs[0]] == hits.tolist()
+        assert all(h > 0 for h in hits)
 
 
 class TestEstimateTail:
@@ -424,29 +507,41 @@ class TestEstimateTailMulti:
             ]
         assert multi == single
 
-    def test_nan_statistics_stay_misses(self):
+    def test_nan_statistics_stay_misses(self, monkeypatch):
         """Rows whose statistic is NaN count at no threshold; rows without a
         finite statistic are counted as degenerate."""
-        spec, n, beta, trials, seed = DistributionSpec.pareto(0.01), 10, 2.0, 3000, 4
+        # No law draws an infinity, so a patched draw serves them: Gaussian
+        # rows that start with a positive value are multiplied by inf, which
+        # takes their values to +-inf and their statistic to NaN.
+        draw = simulate._draw_values
+        monkeypatch.setattr(
+            simulate, "_draw_values",
+            lambda *args: (v := draw(*args)) * np.where(v[:, :1] > 0.0, np.inf, 1.0),
+        )
+        spec, n, beta, trials, seed = DistributionSpec.gaussian(), 10, 2.0, 3000, 4
         xs = [0.05, 0.5, 1.0]
         norms, stats = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(trials):
-                values = _draw_values(spec, n, seed, i, i + 1)[0]
+                values = simulate._draw_values(spec, n, seed, i, i + 1)[0]
                 norms.append((np.abs(values) ** beta).sum() ** (1.0 / beta))
                 stats.append(values.sum() / norms[-1])
             multi = estimate_tail_multi(spec, n, beta, xs, FINAL_SUM, trials, seed)
-            big = estimate_tail(spec, n, beta, 0.5, FINAL_SUM, 100_000, 1)
         stats = np.array(stats)
         degenerate = ~(np.isfinite(norms) & np.isfinite(stats))
         assert np.isnan(stats).sum() > 0
         for x, est in zip(xs, multi):
             assert est.hits == int((stats >= tie_guarded(x)).sum())
             assert est.degenerate_count == degenerate.sum() > 0
-        # Hits as under the earlier rule, which counted these rows as silent
-        # misses (degenerate 0).
-        assert (big.hits, big.degenerate_count) == (37112, 25155)
+
+    def test_pareto_below_one_has_no_degenerate_rows(self):
+        # With one dominant magnitude the final-sum tail at 0.5 is about 1/2.
+        # Here u^(-1/alpha) overflows (infinite magnitudes, degenerate rows);
+        # drawn in logs, no row is degenerate.
+        est = estimate_tail(DistributionSpec.pareto(0.01), 10, 2.0, 0.5, FINAL_SUM, 100_000, 1)
+        assert (est.hits, est.degenerate_count) == (49803, 0)
+        assert est.ci_low <= 0.5 <= est.ci_high
 
     def test_empty_thresholds(self):
         assert estimate_tail_multi(DistributionSpec.gaussian(), 4, 2.0, [], trials=100) == []

@@ -77,8 +77,8 @@ class TestBoundRespect:
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
-            "rademacher running_max n=8 s=0.4: p_hat 0.18 exceeds bound 1e-300 "
-            "+ 0.021309916366662296"
+            "rademacher running_max n=8 s=0.4: p_hat 0.17555 exceeds bound 1e-300 "
+            "+ 0.021109530821564637"
         )
 
     def test_tstat_failure_message(self, monkeypatch):
@@ -86,7 +86,7 @@ class TestBoundRespect:
         with pytest.raises(SuiteFailure) as failure:
             verify.bound_respect()
         assert str(failure.value) == (
-            "gaussian tstat x=1.5: p_hat 0.0836 exceeds bound 1e-300 + 0.015541525709587889"
+            "gaussian tstat x=1.5: p_hat 0.0831 exceeds bound 1e-300 + 0.015500876832806987"
         )
 
 
