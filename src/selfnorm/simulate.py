@@ -51,6 +51,8 @@ _TRIAL_BLOCK = 1 << 15
 _U64 = (1 << 64) - 1
 # Half the uniform grid spacing; added to map [0, 1) draws into (0, 1).
 _HALF_ULP = 2.0**-54
+# Shifts by it pass dtype=np.uint64: under numpy 1.x's value-based casting a
+# uint8 array shifted by this scalar would run in uint8, and 1 << 63 is 0.
 _SIGN_SHIFT = np.uint64(63)
 
 _KINDS = (
@@ -293,7 +295,7 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
     # XOR flips the value's sign bit where the sign bit is 1, as
     # -1.0 * magnitude does (for -0.0 too; magnitudes are never NaN).  The
     # magnitude words are spent, so the shifted signs go there.
-    np.left_shift(minus, _SIGN_SHIFT, out=bits)
+    np.left_shift(minus, _SIGN_SHIFT, out=bits, dtype=np.uint64)
     val_bits = vals.view(np.uint64)
     np.bitwise_xor(val_bits, bits, out=val_bits)
     return vals
