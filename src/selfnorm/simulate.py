@@ -282,19 +282,10 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
         ndtri(vals, out=vals)
     elif spec.kind == "symmetric_pareto":
         vals += _HALF_ULP
-        if spec.tail_index < 1.0:
-            # u^(-1/alpha) overflows for small alpha.  The statistics are
-            # scale-free, so each row is drawn over its largest magnitude,
-            # in logs: every value lies in [0, 1].
-            np.log(vals, out=vals)
-            vals *= -1.0 / spec.tail_index
-            vals -= vals.max(axis=1, keepdims=True)
-            np.exp(vals, out=vals)
-        else:
-            vals **= -1.0 / spec.tail_index
+        vals **= -1.0 / spec.tail_index
     # XOR flips the value's sign bit where the sign bit is 1, as
-    # -1.0 * magnitude does (for -0.0 too; magnitudes are never NaN).  The
-    # magnitude words are spent, so the shifted signs go there.
+    # -1.0 * magnitude does (for -0.0 and inf too; magnitudes are never
+    # NaN).  The magnitude words are spent, so the shifted signs go there.
     np.left_shift(minus, _SIGN_SHIFT, out=bits, dtype=np.uint64)
     val_bits = vals.view(np.uint64)
     np.bitwise_xor(val_bits, bits, out=val_bits)
