@@ -76,8 +76,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 # Each record repeats its call for at least this long.
 MIN_SECONDS = 1.0
-# A record is named across labels by those of these fields it has.
-KEY = ("mode", "stage", "law", "stat", "n", "cells")
+# A record is named across labels by those of these fields it has; a stage
+# record's rows are the block size, so a new block size makes new records.
+KEY = ("mode", "stage", "law", "stat", "n", "rows", "cells")
 
 ORACLE_N, ORACLE_BIG_N = (16, 20, 24), 30
 TABLE_N = range(32, 4097, 32)

@@ -47,7 +47,7 @@ __all__ = [
 # out (it is float(scipy.special.ndtri(0.995))) so that import loads no scipy.
 Z99 = 2.5758293035489004
 
-_TRIAL_BLOCK = 1 << 15
+_TRIAL_BLOCK = 1 << 12
 _U64 = (1 << 64) - 1
 # Half the uniform grid spacing; added to map [0, 1) draws into (0, 1).
 _HALF_ULP = 2.0**-54
@@ -209,9 +209,9 @@ def _words_per_trial(spec: DistributionSpec, n: int) -> int:
 
 
 def _trial_block(n: int) -> int:
-    # Trials per block, sized by the (rows, n) values array: 2^15 up to
-    # n = 20; beyond, as many as fit in n = 20's 5 MB of values, and past
-    # n = 655,360 one trial.
+    # Trials per block, sized by the (rows, n) values array: 2^12 up to
+    # n = 20; beyond, as many as fit in its 640 KB, so a block's passes stay
+    # in a 2 MB L2 cache; past n = 81,920 one trial.
     return max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK * 20 // n))
 
 
@@ -292,6 +292,21 @@ def _transform(spec: DistributionSpec, words: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
+def _running_max(vals: np.ndarray) -> np.ndarray:
+    """max_k S_k of each row, its sums added left to right as np.cumsum adds them."""
+    rows, n = vals.shape
+    # numpy's cumsum loops row by row, so on a block with at least as many
+    # rows as columns a walk over the columns is faster; on a wider one it is not.
+    if rows < n:
+        return np.cumsum(vals, axis=1).max(axis=1)
+    acc = vals[:, 0].copy()
+    top = acc.copy()
+    for j in range(1, n):
+        acc += vals[:, j]
+        np.maximum(top, acc, out=top)
+    return top
+
+
 def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
     betas, the numerator reduced once.  A degenerate row has no finite statistic:
@@ -303,7 +318,7 @@ def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list
         dev **= 2
         t = _t_value(vals.shape[1], means, dev.sum(axis=1))
         return [((vals == vals[:, :1]).all(axis=1) | ~np.isfinite(t), t)] * len(betas)
-    sums = np.cumsum(vals, axis=1).max(axis=1) if stat == RUNNING_MAX else vals.sum(axis=1)
+    sums = _running_max(vals) if stat == RUNNING_MAX else vals.sum(axis=1)
     pairs = []
     for b in betas:
         v = _beta_norm(vals[:1] if fixed else vals, b)

@@ -12,7 +12,7 @@ import pytest
 
 from selfnorm import DistributionSpec, estimate_tail
 
-# A Gaussian estimate's n, beta, x, trials and seed: three blocks of trials,
+# A Gaussian estimate's n, beta, x, trials and seed: 18 blocks of trials,
 # so that two workers each reach the transform's lazy import.
 N, BETA, X, TRIALS, SEED = 4, 2.0, 1.2, 70_000, 5
 

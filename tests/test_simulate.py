@@ -152,8 +152,8 @@ class TestArgumentChecks:
 
 class TestBlockMemory:
     def test_small_n_keeps_the_fixed_partition(self):
-        assert all(_trial_block(n) == 1 << 15 for n in range(1, 21))
-        assert _trial_block(1000) == 655
+        assert all(_trial_block(n) == 1 << 12 for n in range(1, 21))
+        assert _trial_block(1000) == 81
         assert _trial_block(10**7) == 1
 
     def test_peak_allocation_bounded_at_large_n(self):
@@ -171,9 +171,9 @@ class TestBlockMemory:
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
     def test_gaussian_block_transforms_in_place(self):
-        # One 327-trial block: 5 MB of raw words and one 5 MB values array,
-        # transformed in place; the words are freed before the reduction's
-        # temporaries (separate sign, uniform and value matrices took 25 MB).
+        # 40-trial blocks: 650 KB of raw words and one 640 KB values array
+        # each, transformed in place; the words are freed before the
+        # reduction's temporaries.
         spec = DistributionSpec.gaussian()
         tracemalloc.start()
         try:
@@ -185,9 +185,9 @@ class TestBlockMemory:
         assert est.hits == 616
 
     def test_fixed_law_block_is_sized_by_values(self):
-        # A fixed law reads 4 words per trial at n = 1000, so a block sized by
-        # words would take 2^15 trials (262 MB of values); sized by values it
-        # is 655 trials: 5.2 MB of values, a byte per sign and 84 kB of words.
+        # A fixed law reads 16 words per trial at n = 1000, so a block sized by
+        # words would take 2^12 trials (33 MB of values); sized by values it
+        # is 81 trials: 648 KB of values, a byte per sign and 10 kB of words.
         rows = _trial_block(1000)
         tracemalloc.start()
         try:
@@ -195,7 +195,7 @@ class TestBlockMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vals.shape == (655, 1000)
+        assert vals.shape == (81, 1000)
         assert vals.nbytes <= peak < 1.5 * vals.nbytes
 
 
@@ -231,6 +231,23 @@ class TestStreams:
             if v > 0.0 and max(np.cumsum(values)) / v >= tie_guarded(x):
                 hits += 1
         assert estimate.hits == hits
+
+    @pytest.mark.parametrize("spec", SPECS, ids=law_id)
+    def test_estimates_do_not_depend_on_the_block_size(self, spec, monkeypatch):
+        """Trial i reads the same words in any block, so the block size moves
+        memory and speed only.  4500 trials at n = 4 are 4500 blocks, 643,
+        two or one."""
+        n, betas, xs, trials, seed = 4, (1.5, 2.0, 2.0, 3.0), (0.2, 0.6, 0.9, 1.4), 4500, 13
+        runs = []
+        for block in (1, 7, 1 << 12, 1 << 15):
+            monkeypatch.setattr(simulate, "_TRIAL_BLOCK", block)
+            assert _trial_block(n) == block
+            estimates = [
+                estimate_tail_multi(spec, n, betas, xs, stat, trials, seed, 1) for stat in STATS
+            ]
+            runs.append((estimates, efron_check(spec, n, 1.0, trials, seed, 1)))
+        assert all(run == runs[0] for run in runs[1:])
+        assert all(any(est.hits for est in estimates) for estimates in runs[0][0])
 
     def test_one_trial_values(self):
         # Fixed magnitudes are filled at unit scale.
@@ -364,6 +381,38 @@ class TestRawWordKernel:
         assert np.array_equal(vals.view(np.uint64), before.view(np.uint64))
 
 
+class TestRunningMax:
+    """The running max walks the columns of a block with at least as many
+    rows as columns and keeps numpy's cumsum on wider blocks; both add each
+    row left to right, so they agree, non-finite sums included."""
+
+    @pytest.mark.parametrize("shape", [(4096, 20), (300, 300), (81, 1000), (1, 1)])
+    def test_equals_the_cumsum_maximum(self, shape):
+        rows, n = shape
+        finite = np.random.default_rng(n).standard_normal(shape)
+        blocks = [finite]
+        # Every other row holds the value, at a column that moves along the rows.
+        for value in (np.inf, -np.inf, np.nan, -0.0):
+            block = finite.copy()
+            block[::2][np.arange((rows + 1) // 2), np.arange(0, rows, 2) % n] = value
+            blocks.append(block)
+        # Rows with +inf and -inf, whose sums turn NaN.
+        block = blocks[1].copy()
+        block[::2, -1] = -np.inf
+        blocks.append(block)
+        # Rows of -0.0, of -0.0 and 0.0 in turn, and of 0.0.
+        zeros = np.zeros(shape)
+        zeros[::3] = -0.0
+        zeros[1::3, ::2] = -0.0
+        blocks.append(zeros)
+        for block in blocks:
+            with np.errstate(invalid="ignore"):
+                got = simulate._running_max(block)
+                want = np.cumsum(block, axis=1).max(axis=1)
+            assert got.shape == (rows,)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestPackedSigns:
     """A trial reads m magnitude words (n for a random law, 0 for a fixed
     one) and then ceil(n/64) sign words, padded to a multiple of 4; the sign
@@ -394,7 +443,7 @@ class TestPackedSigns:
                              ids=law_id)
     def test_threads_and_partitions_agree_across_blocks(self, spec):
         n, beta, xs, trials, seed = 65, 2.0, [0.1, 0.3], 25_000, 6
-        assert trials > 2 * _trial_block(n)  # three blocks
+        assert trials > 2 * _trial_block(n)  # 20 blocks of 1260 trials
         runs = [
             estimate_tail_multi(spec, n, beta, xs, RUNNING_MAX, trials, seed, workers)
             for workers in (1, 2, 3)
@@ -598,7 +647,8 @@ class TestPerThresholdBeta:
         monkeypatch.setattr(simulate, "_draw_values", counting)
         betas = [1.5, 2.0, 3.0] * 3
         estimate_tail_multi(DistributionSpec.gaussian(), 8, betas, [0.5] * 9, FINAL_SUM, 70000)
-        assert calls == [(0, 32768), (32768, 65536), (65536, 70000)]
+        assert calls == [(lo, min(lo + 4096, 70000)) for lo in range(0, 70000, 4096)]
+        assert len(calls) == 18
 
     @pytest.mark.parametrize(
         "betas, message",
