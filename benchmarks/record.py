@@ -33,12 +33,15 @@ Each layer's records go under --label into its file in the directory --out
   count.  Stage records time one block of simulate._draw_values (the
   Philox words and the magnitude and sign transform) per law at n = 20, the
   Gaussian one at n = 1000 and the Rademacher one at the sweep's n = 17,
-  and of simulate._statistics (the reduction, at one beta) per statistic
-  on the Gaussian block, so the share of the half-normal quantile in a
-  Gaussian draw shows; they carry a sha256 of the arrays.  run_sweep
-  records time the grids of the benchmark's `sweep` workload on two
-  threads: one grid per n = 12, 16, 17, beta = 1.5 and 2, ten s levels and
-  65,536 Rademacher trials, with a sha256 of the rendered CSV.
+  of simulate._statistics (the reduction, at one beta) per statistic on
+  the Gaussian block, so the share of the half-normal quantile in a
+  Gaussian draw shows, and, in trees that have it, of
+  simulate._sign_levels (the integer running maximum read from the sign
+  bytes) on the raw words of that n = 17 Rademacher block; they carry a
+  sha256 of the arrays.  run_sweep records time the grids of the
+  benchmark's `sweep` workload on two threads: one grid per n = 12, 16,
+  17, beta = 1.5 and 2, ten s levels and 65,536 Rademacher trials, with a
+  sha256 of the rendered CSV.
 - BENCH_import.json: `import selfnorm, selfnorm.cli` in IMPORT_RUNS fresh
   interpreters, after one untimed run that caches the bytecode: the median
   and fastest wall time of the import, the median peak RSS of the process,
@@ -211,6 +214,13 @@ def montecarlo(sn) -> list[dict]:
             rec, vals = timed(lambda: _draw_values(laws[law], n, SEED, 0, rows),
                               stage="draw", law=law, n=n, rows=rows)
             records.append({**rec, "digest": sha256(vals)})
+    if hasattr(sn.simulate, "_sign_levels"):
+        n = max(SWEEP_N)
+        rows = _trial_block(n)
+        words = sn.simulate._draw_words(laws["rademacher"], n, SEED, 0, rows)
+        rec, levels = timed(lambda: sn.simulate._sign_levels(words, n, sn.RUNNING_MAX),
+                            stage="sign_levels", law="rademacher", stat=sn.RUNNING_MAX, n=n, rows=rows)
+        records.append({**rec, "digest": sha256(levels)})
     for n in (MC_N, MC_BIG_N):
         rows = _trial_block(n)
         vals = _draw_values(laws["gaussian"], n, SEED, 0, rows)

@@ -12,6 +12,14 @@ one bit each: coordinate j is negative when bit j mod 64 of sign word
 j // 64 is 1.  A block's values are transformed in place in one contiguous
 array.
 
+Under the running maximum and the final sum, a law whose magnitudes are all
+equal (Rademacher, two-point, a constant fixed vector) is counted without
+values: its statistic is an integer level k in [-n, n] over the constant
+V_n(beta), so each block's levels are read from the sign bytes through
+per-byte tables and tallied in one histogram over the levels drawn, in one
+thread.  Each level's statistic k / V_n(beta) is then the float division
+the values route makes, so the hit counts are the same.
+
 Event membership uses the same 1e-9 relative threshold guard as the exact
 enumeration module, so sampled and enumerated counts classify discrete
 atoms identically.
@@ -54,6 +62,12 @@ _HALF_ULP = 2.0**-54
 # Shifts by it pass dtype=np.uint64: under numpy 1.x's value-based casting a
 # uint8 array shifted by this scalar would run in uint8, and 1 << 63 is 0.
 _SIGN_SHIFT = np.uint64(63)
+# Unit steps by sign byte, for a byte's first L = 1..8 sign bits (row L - 1),
+# least significant first; a 0 bit steps +1, a 1 bit -1.  _BYTE_SUM holds
+# the sum of a byte's L steps, _BYTE_TOP the largest of its L prefix sums.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0, bitorder="little")
+_BYTE_SUM = np.cumsum(1 - 2 * _BYTE_BITS.astype(np.int64), axis=0)
+_BYTE_TOP = np.maximum.accumulate(_BYTE_SUM, axis=0)
 
 _KINDS = (
     "rademacher",
@@ -215,14 +229,19 @@ def _trial_block(n: int) -> int:
     return max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK * 20 // n))
 
 
-def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Trials lo..hi-1 of seed's stream: trial i reads raw words
+def _draw_words(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Trials lo..hi-1 of seed's stream, one row each: trial i reads raw words
     [i c, (i + 1) c) of Philox(key=seed), c = _words_per_trial(spec, n)."""
     spec.check_length(n)
     c = _words_per_trial(spec, n)
     bit_gen = Philox(key=seed)
     bit_gen.advance(lo * c // 4)
-    return _transform(spec, bit_gen.random_raw((hi - lo, c)), n)
+    return bit_gen.random_raw((hi - lo, c))
+
+
+def _draw_values(spec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The sample values of trials lo..hi-1 of seed's stream (see _draw_words)."""
+    return _transform(spec, _draw_words(spec, n, seed, lo, hi), n)
 
 
 def _map_blocks(count, spec, n: int, seed: int, trials: int, workers: int):
@@ -307,6 +326,61 @@ def _running_max(vals: np.ndarray) -> np.ndarray:
     return top
 
 
+def _sign_levels(words: np.ndarray, n: int, stat: str) -> np.ndarray:
+    """Integer max_k S_k (running max) or S_n (final sum) of each row's n unit
+    steps, read from the sign bits of a fixed law's block of raw words."""
+    nb = (n + 7) // 8
+    signs = words.astype("<u8", copy=False).view(np.uint8)[:, :nb]
+    last = (n - 1) % 8  # table row of the last byte, which holds last + 1 signs
+    if len(signs) < 64 * nb:
+        # Blocks past n of about 100 (81 x 125 at n = 1000), where a walk over
+        # the byte columns is slower: gather every byte, then add each byte's
+        # best prefix to the sum of the bytes before it.
+        steps = np.take(_BYTE_SUM[7], signs)
+        steps[:, -1] = np.take(_BYTE_SUM[last], signs[:, -1])
+        if stat == FINAL_SUM:
+            return steps.sum(axis=1)
+        tops = np.take(_BYTE_TOP[7], signs)
+        tops[:, -1] = np.take(_BYTE_TOP[last], signs[:, -1])
+        tops[:, 1:] += np.cumsum(steps[:, :-1], axis=1)
+        return tops.max(axis=1)
+    acc = np.zeros(len(signs), dtype=np.int64)
+    top = np.full(len(signs), -n, dtype=np.int64)
+    for j in range(nb):
+        row = 7 if j < nb - 1 else last
+        if stat == RUNNING_MAX:
+            np.maximum(top, acc + np.take(_BYTE_TOP[row], signs[:, j]), out=top)
+        acc += np.take(_BYTE_SUM[row], signs[:, j])
+    return top if stat == RUNNING_MAX else acc
+
+
+def _level_counts(spec, n: int, stat: str, seed: int, trials: int) -> tuple[int, np.ndarray]:
+    """(low, hist): hist[i] of trials 0..trials-1 of a unit-magnitude law have
+    level low + i.  hist spans the levels drawn, not all 2n + 1 (a block past
+    n = 81,920 is one trial).  One thread: two were slower at every n measured."""
+    low, hist = 0, np.zeros(0, dtype=np.int64)
+    block = _trial_block(n)
+    for lo in range(0, trials, block):
+        levels = _sign_levels(_draw_words(spec, n, seed, lo, min(lo + block, trials)), n, stat)
+        start, stop = min(low, int(levels.min())), max(low + hist.size, int(levels.max()) + 1)
+        hist = np.pad(hist, (low - start, stop - low - hist.size))
+        low = start
+        hist += np.bincount(levels - low, minlength=hist.size)
+    return low, hist
+
+
+def _ratios(sums: np.ndarray, norm_rows: np.ndarray, betas) -> list:
+    """Per-entry (degenerate mask, sums / V_n(b)) for each b in betas, V_n taken
+    over each row of norm_rows (one row: shared by every entry)."""
+    pairs = []
+    for b in betas:
+        v = _beta_norm(norm_rows, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stats = sums / v
+        pairs.append((~np.isfinite(stats) | ~np.isfinite(v), stats))
+    return pairs
+
+
 def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list:
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
     betas, the numerator reduced once.  A degenerate row has no finite statistic:
@@ -319,13 +393,7 @@ def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list
         t = _t_value(vals.shape[1], means, dev.sum(axis=1))
         return [((vals == vals[:, :1]).all(axis=1) | ~np.isfinite(t), t)] * len(betas)
     sums = _running_max(vals) if stat == RUNNING_MAX else vals.sum(axis=1)
-    pairs = []
-    for b in betas:
-        v = _beta_norm(vals[:1] if fixed else vals, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stats = sums / v
-        pairs.append((~np.isfinite(stats) | ~np.isfinite(v), stats))
-    return pairs
+    return _ratios(sums, vals[:1] if fixed else vals, betas)
 
 
 def estimate_tail_multi(
@@ -358,15 +426,27 @@ def estimate_tail_multi(
     groups = [[i for i, b in enumerate(bs) if b == d] for d in distinct]
     fixed = spec.supports_exact()  # unit or fixed vector: one V_n per block
 
-    def count(vals: np.ndarray) -> np.ndarray:
+    def count(pairs, weights=None) -> np.ndarray:
+        # Each entry of a statistic vector counts once, or weights[k] times.
         counts = np.empty((2, len(cuts)), dtype=np.int64)  # hits, degenerate
-        pairs = _statistics(vals, stat, distinct, fixed)
         for (degenerate, stats), group in zip(pairs, groups):
-            counts[0, group] = _count_at(stats[~degenerate], [cuts[i] for i in group])
-            counts[1, group] = degenerate.sum()
+            if weights is None:
+                counts[0, group] = _count_at(stats[~degenerate], [cuts[i] for i in group])
+                counts[1, group] = degenerate.sum()
+            else:
+                counts[0, group] = [weights[~degenerate & (stats >= cuts[i])].sum() for i in group]
+                counts[1, group] = weights[degenerate].sum()
         return counts
 
-    counts = _map_blocks(count, spec, n, seed, trials, workers)
+    if stat != TSTAT and fixed and set(spec.exact_magnitudes(n)) == {1.0}:
+        # Every row's statistic is its level k over V_n of a row of ones.
+        first, hist = _level_counts(spec, n, stat, seed, trials)
+        levels = np.arange(first, first + hist.size, dtype=float)
+        counts = count(_ratios(levels, np.ones((1, n)), distinct), hist)
+    else:
+        counts = _map_blocks(
+            lambda vals: count(_statistics(vals, stat, distinct, fixed)), spec, n, seed, trials, workers
+        )
     estimates = []
     for h, degenerate in counts.T.tolist():
         low, high = wilson_interval(h, trials)
@@ -399,7 +479,9 @@ def estimate_tail(
         stat: "running_max", "final_sum" or "tstat".
         trials: Monte Carlo sample count, >= 1.
         seed: 64-bit stream key.
-        workers: block threads; defaults to SELFNORM_THREADS or 1.
+        workers: block threads; defaults to SELFNORM_THREADS or 1.  A law of
+            equal magnitudes under a sum statistic is counted in one thread
+            whatever the value (see the module docstring).
     """
     return estimate_tail_multi(spec, n, beta, [x], stat, trials, seed, workers)[0]
 

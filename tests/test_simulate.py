@@ -28,7 +28,8 @@ from selfnorm import (
     wilson_interval,
 )
 from selfnorm import simulate
-from selfnorm.oracle import STATS, _bound_for
+from selfnorm.bounds import _beta_norm
+from selfnorm.oracle import STATS, _bound_for, _count_at
 from selfnorm.simulate import (
     Z99,
     TailEstimate,
@@ -171,18 +172,35 @@ class TestBlockMemory:
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
     def test_gaussian_block_transforms_in_place(self):
-        # 40-trial blocks: 650 KB of raw words and one 640 KB values array
-        # each, transformed in place; the words are freed before the
-        # reduction's temporaries.
+        # 40-trial blocks: 650 KB of raw words, one 640 KB values array and a
+        # byte per sign, about 2.35 blocks of values at the traced peak (the
+        # words are freed before the reduction's temporaries).  Separate sign,
+        # uniform and value matrices would add about two blocks more.
         spec = DistributionSpec.gaussian()
+        block = _trial_block(2000) * 2000 * 8
         tracemalloc.start()
         try:
             est = estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert block < peak < 3 * block
         assert est.hits == 616
+
+    def test_unit_law_holds_no_values_block(self):
+        # Counted from its sign bytes, a Rademacher block of 40 trials at
+        # n = 2000 holds 10 KB of words and a few (40, 250) integer arrays,
+        # not the 640 KB of values the float route would form.
+        spec = DistributionSpec.rademacher()
+        block = _trial_block(2000) * 2000 * 8
+        tracemalloc.start()
+        try:
+            est = estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+        assert est.hits == 610
 
     def test_fixed_law_block_is_sized_by_values(self):
         # A fixed law reads 16 words per trial at n = 1000, so a block sized by
@@ -457,6 +475,96 @@ class TestPackedSigns:
             hits += [(stats[~degenerate] >= tie_guarded(x)).sum() for x in xs]
         assert [est.hits for est in runs[0]] == hits.tolist()
         assert all(h > 0 for h in hits)
+
+
+class TestUnitRoute:
+    """Laws of equal magnitudes under a sum statistic are counted from the
+    sign bytes as integer levels, in one histogram.  Hits and degenerate
+    counts must equal those of the values route, block by block."""
+
+    N = (1, 2, 7, 8, 9, 17, 63, 64, 65, 128, 129, 1000)
+    BETAS = (1.2, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def values_route(spec, n, betas, xs, stat, trials, seed):
+        counts = np.zeros((2, len(xs)), dtype=np.int64)
+        distinct = list(dict.fromkeys(betas))
+        block = _trial_block(n)
+        for lo in range(0, trials, block):
+            vals = _draw_values(spec, n, seed, lo, min(lo + block, trials))
+            pairs = dict(zip(distinct, simulate._statistics(vals, stat, distinct, True)))
+            for i, (b, x) in enumerate(zip(betas, xs)):
+                degenerate, stats = pairs[b]
+                counts[:, i] += (_count_at(stats[~degenerate], [tie_guarded(x)])[0],
+                                 degenerate.sum())
+        return counts.tolist()
+
+    @staticmethod
+    def thresholds(n):
+        """Pairs per beta: a level k / V_n exactly (the tie guard must count
+        k) and just above it (it must not), k running up to the endpoint n;
+        then a tiny x, whose guarded cut is below 0, twice."""
+        betas, xs = [], []
+        for b in TestUnitRoute.BETAS:
+            v = float(_beta_norm(np.ones((1, n)), b)[0])
+            for k in sorted({1, 2, max(1, round(math.sqrt(n))), n}):
+                betas += [b, b]
+                xs += [k / v, k / v + 2e-9 * max(1.0, k / v)]
+            betas += [b, b]
+            xs += [1e-12, 1e-12]
+        return betas, xs
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_levels_equal_the_float_sums(self, n, stat):
+        spec = DistributionSpec.rademacher()
+        for rows in sorted({1, 5, _trial_block(n)}):
+            vals = _draw_values(spec, n, 4, 3, 3 + rows)
+            want = simulate._running_max(vals) if stat == RUNNING_MAX else vals.sum(axis=1)
+            got = simulate._sign_levels(simulate._draw_words(spec, n, 4, 3, 3 + rows), n, stat)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("stat", [RUNNING_MAX, FINAL_SUM])
+    def test_counts_equal_the_values_route(self, n, stat, monkeypatch):
+        spec, seed = DistributionSpec.rademacher(), n + 11
+        trials = 1500 if n < 1000 else 300
+        betas, xs = self.thresholds(n)
+        want = self.values_route(spec, n, betas, xs, stat, trials, seed)
+        runs = []
+        for block in (1, 7, 1 << 12):
+            monkeypatch.setattr(simulate, "_TRIAL_BLOCK", block)
+            for workers in (1, 2):
+                got = estimate_tail_multi(spec, n, betas, xs, stat, trials, seed, workers)
+                assert [[e.hits for e in got], [e.degenerate_count for e in got]] == want
+                runs.append(got)
+        assert all(run == runs[0] for run in runs[1:])
+        # Tie guard: a level k / V_n is a hit wherever k is reached, and just
+        # above it only where a higher level is.
+        pairs = list(zip(runs[0][::2], runs[0][1::2]))
+        assert all(at.hits >= above.hits for at, above in pairs)
+        assert any(at.hits > above.hits for at, above in pairs)
+
+    def test_which_laws_take_the_route(self, monkeypatch):
+        draws = []
+        draw = simulate._draw_values
+
+        def counting(*args):
+            draws.append(args[0])
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_values", counting)
+        n = 9
+        for spec in (DistributionSpec.two_point(2.5), DistributionSpec.fixed([3.0] * n)):
+            for stat in (RUNNING_MAX, FINAL_SUM):
+                estimate_tail(spec, n, 2.0, 0.5, stat, 5000, 1, 2)
+        assert draws == []
+        fixed = DistributionSpec.fixed([1.0, 2.0, 3.0])
+        estimate_tail(fixed, 3, 2.0, 0.5, RUNNING_MAX, 5000, 1)
+        assert draws == [fixed, fixed]
+        estimate_tail(DistributionSpec.rademacher(), n, 2.0, 0.5, TSTAT, 5000, 1)
+        assert len(draws) == 4
 
 
 class TestEstimateTail:
