@@ -19,13 +19,16 @@ Each layer's records go under --label into its file in the directory --out
   bernstein_numeric calls; "batched", one bounds._bernstein_search over the
   cells, one row of (n, beta, thresholds) per (n, beta); "bound_bn", a loop
   of one-cell bound_bn calls; "run_sweep", one run_sweep(trials=0) over the
-  table, which fills every bound column; "render_csv", one render_csv of
-  its rows.  Search records carry the largest relative gap between the
+  table, which fills every bound column; "render_csv" and "render_json",
+  one render of its rows; "sweep_cli", the same table as one in-process
+  `selfnorm sweep --dist gaussian --trials 0` call, as the benchmark's
+  bound_table workload makes it, timed from argument parsing to the text
+  on stdout.  Search records carry the largest relative gap between the
   numeric minimum and bound_bn over the cells whose bound does not
   underflow, and the mean and largest number of search steps per cell (a
   traced bench run does not book the bound layer's work, so this is where
-  it shows).  The others carry a sha256 of their output (the values and the
-  CSV, at 12 significant digits).
+  it shows).  The others carry a sha256 of their output (the values, the
+  CSV or JSON text, or stdout, at 12 significant digits).
 - BENCH_montecarlo.json: estimate_tail, in trials per second, for five laws
   (Rademacher, uniform, Gaussian, Pareto with tail index 1.5 and 0.01)
   under the three statistics at n = 20 with 50,000 trials, plus the
@@ -61,7 +64,9 @@ digest differs from the same record under another label.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -172,7 +177,19 @@ def _search(sn, mode: str, run, cells) -> dict:
             "max_steps": max(steps)}
 
 
+def _stdout(main, argv: list[str]) -> str:
+    """What main(argv) writes to stdout; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"selfnorm {' '.join(argv[:1])} exited {code}")
+    return out.getvalue()
+
+
 def bernstein(sn) -> list[dict]:
+    from selfnorm.cli import main as cli_main
+
     cells = [(n, b, sn.threshold_from_s(n, b, s)) for n in TABLE_N for b in BETAS for s in LEVELS]
     records = [_search(sn, "per_cell", _per_cell, cells[: TABLE_SIZES[0]])]
     records += [_search(sn, "batched", _batched, cells[:size]) for size in TABLE_SIZES]
@@ -183,6 +200,12 @@ def bernstein(sn) -> list[dict]:
     sweep, rows = timed(lambda: sn.run_sweep(grid), mode="run_sweep", cells=len(cells))
     render, text = timed(lambda: sn.render_csv(rows), mode="render_csv", cells=len(cells))
     records += [{**rec, "digest": sha256(text)} for rec in (sweep, render)]
+    rec, text = timed(lambda: sn.render_json(rows), mode="render_json", cells=len(cells))
+    records.append({**rec, "digest": sha256(text)})
+    argv = ["sweep", "--n", ",".join(map(str, TABLE_N)), "--beta", ",".join(map(repr, BETAS)),
+            "--s", ",".join(map(repr, LEVELS)), "--dist", "gaussian", "--trials", "0"]
+    rec, text = timed(lambda: _stdout(cli_main, argv), mode="sweep_cli", cells=len(cells))
+    records.append({**rec, "digest": sha256(text)})
     for rec in records:
         rec["cells_per_s"] = rec["cells"] / rec["best_s"]
     return records

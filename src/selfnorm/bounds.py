@@ -13,8 +13,8 @@ This module evaluates B_n in log space through two independent routes
 relaxation exp(-x^2 n^(2/beta-1) / 2), the exponential-moment problem
 whose infimum equals B_n for two-point laws, and the reduction of
 Student's t-statistic to a self-normalized sum.  The first three run on
-an array of thresholds of one (n, beta), unchecked, as the sweep's grid
-evaluator calls them; the public functions check their input and make
+arrays of cells, each with its own (n, beta), unchecked, as the sweep's
+grid evaluator calls them; the public functions check their input and make
 one-entry calls.
 """
 
@@ -176,38 +176,44 @@ def _libm(f, a: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in a.tolist()], dtype=float)
 
 
-def _bn_cells(n: int, b: float, x: np.ndarray, entropy: bool = False):
-    """Unchecked s, log B_n and B_n at the thresholds x (an array) of one (n, b).
+def _bn_cells(n: np.ndarray, endpoint: np.ndarray, x: np.ndarray, entropy: bool = False):
+    """Unchecked s, log B_n and B_n at thresholds x, one entry per cell; n (as
+    floats) and endpoint (_endpoint of the cell's n and beta) are per-cell
+    arrays of the same shape.
 
     Below the endpoint the log is the product form or, with entropy, -n H(s),
     computed on those cells only so that no other cell warns; s = 1 gives
     exactly 2^-n, and s > 1 gives 0 with log -inf.  atanh and exp run
-    through _libm and log_cosh is lane-independent, so every entry equals
-    its one-entry call bit for bit.
+    through _libm, 2^-n is Python's float power entry by entry, and
+    log_cosh is lane-independent, so every entry equals its one-entry call
+    bit for bit.
     """
-    s = x / _endpoint(n, b)
+    s = x / endpoint
+    at_end = s == 1.0
     # The endpoint is attained only by the all-plus sign configuration.
-    log_value = np.where(s == 1.0, -n * _LN2, -math.inf)
+    log_value = np.where(at_end, n * -_LN2, -math.inf)
     below = s < 1.0
-    u = s[below]
+    u, m = s[below], n[below]
     if entropy:
         # H(s) = ((1+s)/2) log(1+s) + ((1-s)/2) log(1-s), the binary entropy term.
         h = 0.5 * (1.0 + u) * _libm(math.log1p, u) + 0.5 * (1.0 - u) * _libm(math.log1p, -u)
-        log_value[below] = -n * h
+        log_value[below] = -m * h
     else:
         # The log of 2^-n (sqrt t + 1/sqrt t)^n t^(-n^(1/beta) x / 2), with
         # sqrt t = e^a.  Term by term, -n log 2 + n log(sqrt t + 1/sqrt t)
         # would cancel n log 2 down to about n s^2 / 2 and lose every digit.
         a = _libm(math.atanh, u)
-        log_value[below] = n * (log_cosh(a) - u * a)
+        log_value[below] = m * (log_cosh(a) - u * a)
     value = _libm(math.exp, log_value)
-    value[s == 1.0] = 2.0 ** (-n)
+    value[at_end] = [2.0 ** -m for m in n[at_end].tolist()]
     return s, log_value, value
 
 
 def _evaluate(n: int, beta: float, x: float, entropy: bool) -> BoundEvaluation:
     n, b, x = _check_cell(n, beta, x)
-    (s,), (log_value,), (value,) = _bn_cells(n, b, np.array([x]), entropy)
+    (s,), (log_value,), (value,) = _bn_cells(
+        np.array([float(n)]), np.array([_endpoint(n, b)]), np.array([x]), entropy
+    )
     regime = INTERIOR if s < 1.0 else ENDPOINT if s == 1.0 else IMPOSSIBLE
     t = (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
     return BoundEvaluation(n, x, float(s), float(t), float(log_value), float(value), regime)
@@ -242,10 +248,16 @@ def bound_bn_entropy_form(n: int, beta: float, x: float) -> BoundEvaluation:
     return _evaluate(n, beta, x, entropy=True)
 
 
-def _corollary_log(n: int, b: float, x):
+def _corollary_scale(n: int, b: float) -> float:
+    """n^(2/beta - 1), the power of n in bound_corollary's exponent."""
+    return float(n) ** (2.0 / b - 1.0)
+
+
+def _corollary_log(x, scale):
     """Unchecked log -x^2 n^(2/beta - 1) / 2 of bound_corollary, at a float or an
-    array of thresholds x of one checked (n, b)."""
-    return -0.5 * x * x * float(n) ** (2.0 / b - 1.0)
+    array of thresholds x, with scale = _corollary_scale(n, beta) a float or
+    an array of x's shape."""
+    return -0.5 * x * x * scale
 
 
 def bound_corollary(n: int, beta: float, x: float) -> float:
@@ -255,7 +267,7 @@ def bound_corollary(n: int, beta: float, x: float) -> float:
     corollary_is_extrapolated) and still dominates bound_bn.
     """
     n, b, x = _check_cell(n, beta, x)
-    return math.exp(_corollary_log(n, b, x))
+    return math.exp(_corollary_log(x, _corollary_scale(n, b)))
 
 
 def corollary_is_extrapolated(beta: float) -> bool:
@@ -425,22 +437,28 @@ def _moment_log(lam, n, n1b, x):
 def _bound_grid(n_values, beta_values, levels) -> tuple[list, list, list, list]:
     """x, B_n, bound_corollary and bernstein_numeric's objective_value (None
     at and beyond the endpoint) of each cell of a checked (n, beta, s) grid,
-    as flat lists in (n, beta, s) order.  Each entry equals its one-cell call
-    bit for bit, and one search fills the numeric minima of the whole grid."""
-    levels = np.asarray(levels, dtype=float)
-    x, bn, corollary, below, rows = [], [], [], [], []
-    for n in n_values:
-        for b in map(float, beta_values):
-            xs = levels * _endpoint(n, b)
-            s, _, value = _bn_cells(n, b, xs)
-            rows.append((n, b, xs[s < 1.0]))
-            below += (s < 1.0).tolist()
-            x += xs.tolist()
-            bn += value.tolist()
-            corollary += _libm(math.exp, _corollary_log(n, b, xs)).tolist()
+    as flat lists in (n, beta, s) order.
+
+    One pass over the whole grid: the Python-float powers of each (n, beta)
+    are repeated across its levels, and one search fills the numeric minima.
+    Each entry equals its one-cell call bit for bit."""
+    pairs = [(n, float(b)) for n in n_values for b in beta_values]
+    width = len(levels)
+
+    def per_cell(f) -> np.ndarray:
+        return np.repeat([f(n, b) for n, b in pairs], width)
+
+    endpoint = per_cell(_endpoint)
+    x = np.tile(np.asarray(levels, dtype=float), len(pairs)) * endpoint
+    s, _, value = _bn_cells(per_cell(lambda n, b: float(n)), endpoint, x)
+    corollary = _libm(math.exp, _corollary_log(x, per_cell(_corollary_scale)))
+    below = s < 1.0
+    rows = [(n, b, xs[inside]) for (n, b), xs, inside in
+            zip(pairs, x.reshape(-1, width), below.reshape(-1, width))]
     _, log_objective, _ = _bernstein_search(rows)
-    minima = map(math.exp, log_objective.tolist())
-    return x, bn, corollary, [next(minima) if inside else None for inside in below]
+    numeric = np.full(x.size, None, dtype=object)
+    numeric[below] = list(map(math.exp, log_objective.tolist()))
+    return x.tolist(), value.tolist(), corollary.tolist(), numeric.tolist()
 
 
 def tstat_threshold(n: int, x: float) -> float:

@@ -20,6 +20,7 @@ from . import report
 from . import verify as verify_mod
 from .bounds import (
     _corollary_log,
+    _corollary_scale,
     _rescaled_x,
     alpha_in_mdp_window,
     bernstein_numeric,
@@ -126,7 +127,7 @@ def _bound_record(args) -> list[tuple[str, object]]:
     pairs += [("s", evaluation.s), ("regime", evaluation.regime)]
     if args.kind == "corollary":
         return pairs + [
-            ("log_value", min(0.0, _corollary_log(n, beta, x))),
+            ("log_value", min(0.0, _corollary_log(x, _corollary_scale(n, beta)))),
             ("value", bound_corollary(n, beta, x)),
             ("extrapolated", corollary_is_extrapolated(beta)),
         ]
@@ -232,8 +233,8 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    rows = report.run_sweep(grid)
-    text = report.render_csv(rows) if args.format == "csv" else report.render_json(rows)
+    table = report.sweep_table(grid)
+    text = table.csv() if args.format == "csv" else table.json()
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -2,9 +2,12 @@
 
 A sweep walks a grid of (n, beta, s) cells, where s is the threshold
 relative to the endpoint n^((beta-1)/beta), and reports every available
-view of the same tail event side by side.  Rendering is deterministic:
-floats at 12 significant digits, comma-separated CSV with LF line endings,
-or a JSON array of flat records with the same keys.
+view of the same tail event side by side.  sweep_table holds the result
+by column; run_sweep's records, the CSV and the JSON are all written from
+it, and render_csv and render_json read rows back into one.  Rendering is
+deterministic: floats at 12 significant digits, comma-separated CSV with
+LF line endings, or a JSON array of flat records with the same keys, laid
+out as json.dumps(indent=2) lays it out.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .bounds import (
@@ -26,7 +31,8 @@ from .oracle import FINAL_SUM, MAX_ENUM_N, RUNNING_MAX, exact_tail, exact_tail_m
 from .oracle import _resolve_workers
 from .simulate import DistributionSpec, _check_seed, estimate_tail, estimate_tail_multi
 
-# run_sweep calls only the multi-threshold forms and bounds' grid evaluator.
+# sweep_table calls only the multi-threshold forms and bounds' grid
+# evaluator, and the CLI calls sweep_table, not run_sweep or render_csv.
 # exact_tail, estimate_tail, bound_bn, bound_corollary and bernstein_numeric
 # stay importable from here because bench/tracing.py wraps this module's
 # names, and tests/test_bench_contract.py checks that they do (a traced
@@ -92,48 +98,6 @@ class SweepGrid:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
-def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
-    """Evaluate every grid cell; returns one flat record per cell.
-
-    Each n runs one enumeration and one Monte Carlo stream for all its beta
-    and s values; one bounds._bound_grid call fills the bound columns.
-    Unavailable entries (enumeration over the budget, random-magnitude
-    laws, endpoint cells for the numeric minimizer, Monte Carlo turned off)
-    are None.  The worker count is resolved before any cell, so a bad
-    SELFNORM_THREADS fails even when no kernel would run.
-    """
-    workers = _resolve_workers(workers)
-    xs, bns, corollary, numeric = _bound_grid(grid.n_values, grid.beta_values, grid.s_values)
-    betas = [beta for beta in grid.beta_values for _ in grid.s_values]  # one n's cells
-    exact, estimates = [None] * len(xs), [None] * len(xs)
-    for i, n in enumerate(grid.n_values):
-        span = slice(i * len(betas), (i + 1) * len(betas))
-        mags = None
-        if grid.dist.supports_exact() and n <= MAX_ENUM_N:
-            # A fixed magnitude vector of another length leaves the column blank.
-            with contextlib.suppress(ValueError):
-                mags = grid.dist.exact_magnitudes(n)
-        if mags is not None:
-            tails = exact_tail_multi(mags, betas, xs[span], grid.stat, workers)
-            exact[span] = [tail.probability for tail in tails]
-        if grid.trials > 0:
-            estimates[span] = estimate_tail_multi(
-                grid.dist, n, betas, xs[span], grid.stat, grid.trials, grid.seed, workers
-            )
-    return [
-        {"n": n, "beta": beta, "s": level, "x": threshold, "bound_bn": bound,
-         "bound_corollary": cor, "bernstein_numeric": minimum, "oracle_exact": probability,
-         "mc_p_hat": None if est is None else est.p_hat,
-         "mc_ci_low": None if est is None else est.ci_low,
-         "mc_ci_high": None if est is None else est.ci_high,
-         "trials": grid.trials, "seed": grid.seed}
-        for (n, beta, level), threshold, bound, cor, minimum, probability, est in zip(
-            itertools.product(grid.n_values, grid.beta_values, grid.s_values),
-            xs, bns, corollary, numeric, exact, estimates,
-        )
-    ]
-
-
 def _format_cell(value) -> str:
     """Text of a CSV cell or CLI value: None empty, floats at 12 digits."""
     if isinstance(value, float):  # first: most sweep cells are floats
@@ -145,38 +109,169 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_column(values) -> tuple[str, list | None]:
+    """A CSV column's template text and per-row arguments (None: the text is
+    the cell of every row)."""
+    if values.count(None) == len(values):
+        return "", None
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:  # "%.12g" % v is f"{v:.12g}"
+        return ("%.12g" if float in kinds else "%d"), values
+    # np.float64, bool, None among floats: _format_cell, the cell rule
+    return "%s", list(map(_format_cell, values))
+
+
+def _json_cell(value) -> str:
+    """Text of a JSON cell: floats rounded to 12 significant digits."""
+    return json.dumps(float(f"{value:.12g}") if isinstance(value, float) else value)
+
+
+def _json_column(values) -> tuple[str, list | None]:
+    """A JSON column's template text and per-row arguments (see _csv_column)."""
+    if values.count(None) == len(values):
+        return "null", None
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        rounded = [float("%.12g" % v) for v in values]
+        if all(map(math.isfinite, rounded)):  # json writes repr, but NaN for nan
+            return "%r", rounded
+    elif kinds == {int}:
+        return "%d", values
+    return "%s", list(map(_json_cell, values))
+
+
+# How a record is laid out: the text of a cell, of a column of cells and of a
+# named field, and the text between, before and after the fields.
+_Style = namedtuple("_Style", "cell column field sep head tail")
+_CSV = _Style(_format_cell, _csv_column, lambda col, text: text, ",", "", "\n")
+_JSON = _Style(
+    _json_cell, _json_column, lambda col, text: f'    "{col}": {text}', ",\n", "  {\n", "\n  }"
+)
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep's cells by column, the one source every sweep output is
+    written from (run_sweep's records, CSV and JSON).
+
+    axes holds the grid's (n, beta, s) values when the rows run over their
+    product in that order, else None.  Every other column is either in
+    columns, one value per row, or in shared, one value for every row.  A
+    column of None alone, like a shared one, is literal text in the writers'
+    row template.
+    """
+
+    size: int
+    axes: tuple[tuple, tuple, tuple] | None
+    columns: dict[str, list | tuple]
+    shared: dict[str, object]
+
+    @classmethod
+    def from_rows(cls, rows) -> "SweepTable":
+        """The table of flat records keyed by COLUMNS (any iterable, read once)."""
+        rows = list(rows)
+        return cls(len(rows), None, {col: [row[col] for row in rows] for col in COLUMNS}, {})
+
+    def rows(self) -> list[dict]:
+        """One flat record per row, keyed by COLUMNS in order."""
+        named = {col: itertools.repeat(value, self.size) for col, value in self.shared.items()}
+        named.update(self.columns)
+        if self.axes is None:
+            cells = zip(*(named[col] for col in COLUMNS[:3]))
+        else:
+            cells = itertools.product(*self.axes)
+        # A dict display per row: dict(zip(COLUMNS, row)) takes about twice as long.
+        return [
+            {"n": n, "beta": beta, "s": s, "x": x, "bound_bn": bn, "bound_corollary": cor,
+             "bernstein_numeric": numeric, "oracle_exact": exact, "mc_p_hat": p_hat,
+             "mc_ci_low": ci_low, "mc_ci_high": ci_high, "trials": trials, "seed": seed}
+            for (n, beta, s), x, bn, cor, numeric, exact, p_hat, ci_low, ci_high, trials, seed
+            in zip(cells, *(named[col] for col in COLUMNS[3:]))
+        ]
+
+    def csv(self) -> str:
+        """Fixed header, '.' decimals, LF line endings; one % per row."""
+        return ",".join(COLUMNS) + "\n" + "".join(self._records(_CSV))
+
+    def json(self) -> str:
+        """A JSON array of flat records, as json.dumps(indent=2) lays it out."""
+        records = self._records(_JSON)
+        return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+
+    def _records(self, style) -> list[str]:
+        """One text per row from one template: each distinct axis value and
+        each shared value is formatted once, and only the per-row columns
+        are formatted per row."""
+        fields, args = [], []
+        if self.axes is not None:
+            texts = ([style.field(col, style.cell(v)) for v in axis]
+                     for col, axis in zip(COLUMNS, self.axes))
+            args.append(list(map(style.sep.join, itertools.product(*texts))))
+            fields.append("%s")
+        for col in COLUMNS[3 if self.axes is not None else 0:]:
+            if col in self.shared:
+                text, values = style.cell(self.shared[col]).replace("%", "%%"), None
+            else:
+                text, values = style.column(self.columns[col])
+            fields.append(style.field(col, text))
+            if values is not None:
+                args.append(values)
+        template = style.head + style.sep.join(fields) + style.tail
+        if not args:
+            return [template % ()] * self.size
+        return [template % row for row in zip(*args)]
+
+
+def sweep_table(grid: SweepGrid, workers: int | None = None) -> SweepTable:
+    """Evaluate every grid cell into one columnar table.
+
+    Each n runs one enumeration and one Monte Carlo stream for all its beta
+    and s values; one bounds._bound_grid call fills the bound columns.
+    Unavailable entries (enumeration over the budget, random-magnitude
+    laws, endpoint cells for the numeric minimizer, Monte Carlo turned off)
+    are None.  The worker count is resolved before any cell, so a bad
+    SELFNORM_THREADS fails even when no kernel would run.
+    """
+    workers = _resolve_workers(workers)
+    xs, bns, corollary, numeric = _bound_grid(grid.n_values, grid.beta_values, grid.s_values)
+    betas = [beta for beta in grid.beta_values for _ in grid.s_values]  # one n's cells
+    exact, estimates = [None] * len(xs), []
+    for i, n in enumerate(grid.n_values):
+        span = slice(i * len(betas), (i + 1) * len(betas))
+        mags = None
+        if grid.dist.supports_exact() and n <= MAX_ENUM_N:
+            # A fixed magnitude vector of another length leaves the column blank.
+            with contextlib.suppress(ValueError):
+                mags = grid.dist.exact_magnitudes(n)
+        if mags is not None:
+            tails = exact_tail_multi(mags, betas, xs[span], grid.stat, workers)
+            exact[span] = [tail.probability for tail in tails]
+        if grid.trials > 0:
+            estimates += estimate_tail_multi(
+                grid.dist, n, betas, xs[span], grid.stat, grid.trials, grid.seed, workers
+            )
+    mc = [(est.p_hat, est.ci_low, est.ci_high) for est in estimates] or [(None,) * 3] * len(xs)
+    p_hat, ci_low, ci_high = zip(*mc)
+    columns = {"x": xs, "bound_bn": bns, "bound_corollary": corollary,
+               "bernstein_numeric": numeric, "oracle_exact": exact,
+               "mc_p_hat": p_hat, "mc_ci_low": ci_low, "mc_ci_high": ci_high}
+    axes = (grid.n_values, grid.beta_values, grid.s_values)
+    return SweepTable(len(xs), axes, columns, {"trials": grid.trials, "seed": grid.seed})
+
+
+def run_sweep(grid: SweepGrid, workers: int | None = None) -> list[dict]:
+    """Evaluate every grid cell; returns one flat record per cell (see sweep_table)."""
+    return sweep_table(grid, workers).rows()
+
+
 def render_csv(rows: list[dict]) -> str:
-    """Rows as CSV text: fixed header, '.' decimals, LF line endings; one % per row."""
-    rows, formats, columns = list(rows), [], []  # rows are read once per column
-    for col in COLUMNS:
-        values = [row[col] for row in rows]
-        kinds = set(map(type, values))
-        if kinds == {float} or kinds == {int}:  # "%.12g" % v is f"{v:.12g}"
-            formats.append("%.12g" if float in kinds else "%d")
-        elif kinds == {type(None)}:
-            formats.append("")
-            continue
-        else:  # np.float64, bool, None among floats: _format_cell, the cell rule
-            formats.append("%s")
-            values = list(map(_format_cell, values))
-        columns.append(values)
-    template = ",".join(formats) + "\n"
-    cells = zip(*columns) if columns else [()] * len(rows)
-    return ",".join(COLUMNS) + "\n" + "".join(template % row for row in cells)
+    """Rows as CSV text: fixed header, '.' decimals, LF line endings."""
+    return SweepTable.from_rows(rows).csv()
 
 
 def render_json(rows: list[dict]) -> str:
     """Rows as a JSON array of flat records, floats at 12 significant digits."""
-    out = []
-    for row in rows:
-        rec = {}
-        for col in COLUMNS:
-            value = row[col]
-            if isinstance(value, float):
-                value = float(f"{value:.12g}")
-            rec[col] = value
-        out.append(rec)
-    return json.dumps(out, indent=2) + "\n"
+    return SweepTable.from_rows(rows).json()
 
 
 def parse_csv(text: str) -> list[dict]:

@@ -369,12 +369,11 @@ def _level_counts(spec, n: int, stat: str, seed: int, trials: int) -> tuple[int,
     return low, hist
 
 
-def _ratios(sums: np.ndarray, norm_rows: np.ndarray, betas) -> list:
-    """Per-entry (degenerate mask, sums / V_n(b)) for each b in betas, V_n taken
-    over each row of norm_rows (one row: shared by every entry)."""
+def _ratios(sums: np.ndarray, norms) -> list:
+    """Per-entry (degenerate mask, sums / v) for each V_n array v in norms, one
+    entry per row of sums (one entry: shared by every row)."""
     pairs = []
-    for b in betas:
-        v = _beta_norm(norm_rows, b)
+    for v in norms:
         with np.errstate(divide="ignore", invalid="ignore"):
             stats = sums / v
         pairs.append((~np.isfinite(stats) | ~np.isfinite(v), stats))
@@ -393,7 +392,14 @@ def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list
         t = _t_value(vals.shape[1], means, dev.sum(axis=1))
         return [((vals == vals[:, :1]).all(axis=1) | ~np.isfinite(t), t)] * len(betas)
     sums = _running_max(vals) if stat == RUNNING_MAX else vals.sum(axis=1)
-    return _ratios(sums, vals[:1] if fixed else vals, betas)
+    return _ratios(sums, [_beta_norm(vals[:1] if fixed else vals, b) for b in betas])
+
+
+def _unit_norm(n: int, b: float) -> np.ndarray:
+    """V_n(b) of n unit magnitudes, as _beta_norm gives it for np.ones((1, n)):
+    the powers are 1 and their sum is exactly n (n < 2^53), so the root is
+    the same array power on the same value."""
+    return np.asarray([float(n)]) ** (1.0 / b)
 
 
 def estimate_tail_multi(
@@ -438,11 +444,12 @@ def estimate_tail_multi(
                 counts[1, group] = weights[degenerate].sum()
         return counts
 
-    if stat != TSTAT and fixed and set(spec.exact_magnitudes(n)) == {1.0}:
-        # Every row's statistic is its level k over V_n of a row of ones.
+    unit = spec.kind == "rademacher" or fixed and set(spec.magnitudes) == {1.0}
+    if stat != TSTAT and unit:
+        # Every row's statistic is its level k over V_n of n unit magnitudes.
         first, hist = _level_counts(spec, n, stat, seed, trials)
         levels = np.arange(first, first + hist.size, dtype=float)
-        counts = count(_ratios(levels, np.ones((1, n)), distinct), hist)
+        counts = count(_ratios(levels, [_unit_norm(n, b) for b in distinct]), hist)
     else:
         counts = _map_blocks(
             lambda vals: count(_statistics(vals, stat, distinct, fixed)), spec, n, seed, trials, workers

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from selfnorm import (
     FINAL_SUM,
     INTERIOR,
+    MAX_ENUM_N,
     RUNNING_MAX,
     DistributionSpec,
     SweepGrid,
@@ -25,8 +27,8 @@ from selfnorm import (
     run_sweep,
     threshold_from_s,
 )
-from selfnorm import bounds, simulate
-from selfnorm.report import COLUMNS, _format_cell
+from selfnorm import bounds, cli, simulate
+from selfnorm.report import COLUMNS, SweepTable, _format_cell
 
 S_VALUES = (0.1, 0.35, 0.6, 1.0)
 # two_point(a) returns a Rademacher law; its cases keep their own test id.
@@ -126,14 +128,14 @@ def test_bernstein_column_equals_one_cell_calls():
     # columns come from bounds' grid evaluator and must equal the public
     # one-cell functions bit for bit: there is one evaluation route.
     grid = SweepGrid(
-        (1, 2, 64, 4096, 10**4),
+        (1, 2, 64, 4096, 10**4, 999_983, 10**6),
         (1.01, 1.5, 2.0, 10.0),
         (1e-300, 0.01, 0.5, 0.99, 1.0 - 1e-15, 1.0),
         dist=DistributionSpec.gaussian(),
         trials=0,
     )
     rows = run_sweep(grid)
-    assert len(rows) == 120
+    assert len(rows) == 168
     interior = 0
     for row in rows:
         n, beta, x = row["n"], row["beta"], row["x"]
@@ -145,7 +147,7 @@ def test_bernstein_column_equals_one_cell_calls():
             interior += 1
         else:
             assert row["bernstein_numeric"] is None
-    assert interior == 100  # every cell below s = 1
+    assert interior == 140  # every cell below s = 1
 
 
 def test_mismatched_fixed_length_leaves_oracle_blank():
@@ -291,6 +293,16 @@ def _per_cell_csv(rows):
     return ",".join(COLUMNS) + "\n" + lines
 
 
+def _per_cell_json(rows):
+    """The JSON text of json.dumps(indent=2) over cells rounded one at a time."""
+    records = [
+        {col: float(f"{row[col]:.12g}") if isinstance(row[col], float) else row[col]
+         for col in COLUMNS}
+        for row in rows
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
 def _hand_built_rows():
     template = dict.fromkeys(COLUMNS)
     template.update(n=4, beta=2.0, s=0.5, x=1.0, trials=0, seed=0)
@@ -313,8 +325,9 @@ def _bool_rows():
 
 
 class TestRenderCsv:
-    """render_csv formats a column at a time; its text must be the per-cell
-    rule's, byte for byte, and read back through parse_csv."""
+    """render_csv and render_json format a column at a time; their text must
+    be the per-cell rule's, byte for byte, and the CSV must read back through
+    parse_csv."""
 
     CASES = {
         # s = 1.0 leaves the endpoint's numeric minimum None among floats.
@@ -337,6 +350,12 @@ class TestRenderCsv:
         assert text == _per_cell_csv(rows)
         assert text.count("\n") == len(rows) + 1
         assert render_csv(iter(rows)) == text  # any iterable of rows, read once
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_json_equals_the_per_cell_rule(self, case):
+        rows = self.CASES[case]()
+        assert render_json(rows) == _per_cell_json(rows)
+        assert render_json(iter(rows)) == render_json(rows)
 
     @pytest.mark.parametrize("case", [case for case in CASES if case != "bools"])
     def test_round_trips_through_parse_csv(self, case):
@@ -364,3 +383,54 @@ class TestRenderCsv:
         assert cells[3]["seed"] == str(2**64 + 5)
         assert [c["mc_p_hat"] for c in cells] == ["0.25", "", "", "", ""]
         assert cells[4]["mc_ci_low"] == "1e-300"
+
+
+# A fixed law of this length leaves the oracle column blank at every other n.
+SWEEP_MAGS = (1.0, 0.5, 2.0, 0.0, 3.0)
+
+
+def _random_sweep(seed: int, mags_path) -> tuple[list[str], SweepGrid]:
+    """CLI arguments of a seeded random sweep, and the grid they describe."""
+    rng = random.Random(seed)
+    kind = ("rademacher", "gaussian", "fixed")[seed % 3]
+    if kind == "rademacher":  # n on both sides of the enumeration budget
+        n_values = [rng.choice((1, 2, 9, 29, MAX_ENUM_N)), rng.choice((MAX_ENUM_N + 1, 40, 1000))]
+        dist, token = DistributionSpec.rademacher(), "rademacher"
+    elif kind == "gaussian":
+        n_values = rng.sample((1, 4, 64, 4096), 2)
+        dist, token = DistributionSpec.gaussian(), "gaussian"
+    else:  # the vector's length and one other n
+        n_values = [len(SWEEP_MAGS), rng.choice((3, 8))]
+        dist, token = DistributionSpec.fixed(SWEEP_MAGS), f"mags:{mags_path}"
+    rng.shuffle(n_values)
+    betas = rng.sample(("1.01", "1.5", "2", "3", "2.5", "10"), rng.randint(1, 3))
+    levels = sorted({round(rng.uniform(0.01, 0.99), 3) for _ in range(rng.randint(1, 5))})
+    levels.append(1.0)  # the endpoint: no numeric minimum there
+    # A wrong-length fixed law cannot be simulated.
+    trials = 0 if kind == "fixed" else rng.choice((0, 300))
+    stat = rng.choice((RUNNING_MAX, FINAL_SUM))
+    argv = ["sweep", "--n", ",".join(map(str, n_values)), "--beta", ",".join(betas),
+            "--s", ",".join(map(repr, levels)), "--dist", token, "--trials", str(trials),
+            "--seed", str(seed), "--stat", stat.replace("_", "-")]
+    grid = SweepGrid(tuple(n_values), tuple(int(b) if b.isdigit() else float(b) for b in betas),
+                     tuple(levels), stat, dist, trials, seed)
+    return argv, grid
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cli_sweep_equals_the_per_cell_rule(seed, tmp_path, capsys):
+    mags = tmp_path / "mags.txt"
+    mags.write_text("\n".join(map(repr, SWEEP_MAGS)) + "\n")
+    argv, grid = _random_sweep(seed, mags)
+    rows = run_sweep(grid)
+    assert all(tuple(row) == COLUMNS for row in rows)
+    assert SweepTable.from_rows(rows).rows() == rows
+    numeric = [row["bernstein_numeric"] for row in rows]
+    assert None in numeric and any(v is not None for v in numeric)
+    if grid.dist.supports_exact():  # filled where n may be enumerated, blank elsewhere
+        exact = [row["oracle_exact"] for row in rows]
+        assert None in exact and any(v is not None for v in exact)
+    for fmt, want in (("csv", _per_cell_csv(rows)), ("json", _per_cell_json(rows))):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (want, "")

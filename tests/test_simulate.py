@@ -157,10 +157,18 @@ class TestBlockMemory:
         assert _trial_block(1000) == 81
         assert _trial_block(10**7) == 1
 
-    def test_peak_allocation_bounded_at_large_n(self):
+    # Rademacher takes the sign-level route; a non-constant fixed law builds
+    # values blocks.
+    LARGE_N_LAWS = {
+        "rademacher": (DistributionSpec.rademacher(), 610),
+        "fixed": (DistributionSpec.fixed([1.0 + i % 3 for i in range(2000)]), 599),
+    }
+
+    @pytest.mark.parametrize("law", LARGE_N_LAWS)
+    def test_peak_allocation_bounded_at_large_n(self, law):
         # With 2^15-trial blocks these 2000 trials at n = 2000 are one block:
         # its uniform matrix alone is 64 MB (95 MB traced peak in all).
-        spec = DistributionSpec.rademacher()
+        spec, hits = self.LARGE_N_LAWS[law]
         tracemalloc.start()
         try:
             est = estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=1)
@@ -168,7 +176,7 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
-        assert est.hits == 610
+        assert est.hits == hits
         assert estimate_tail(spec, 2000, 2.0, 1.0, RUNNING_MAX, 2000, seed=3, workers=2) == est
 
     def test_gaussian_block_transforms_in_place(self):
@@ -201,6 +209,20 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak < block
         assert est.hits == 610
+
+    def test_unit_law_proves_v_n_without_a_row_of_n_floats(self):
+        # V_n of n unit magnitudes is n^(1/beta): neither a list of n
+        # magnitudes nor a (1, n) row of ones (15.3 MB traced with both).
+        n = 10**6
+        spec = DistributionSpec.rademacher()
+        tracemalloc.start()
+        try:
+            est = estimate_tail(spec, n, 2.0, 100.0, RUNNING_MAX, 3, seed=1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+        assert (est.hits, est.degenerate_count) == (0, 0)
 
     def test_fixed_law_block_is_sized_by_values(self):
         # A fixed law reads 16 words per trial at n = 1000, so a block sized by
@@ -546,6 +568,13 @@ class TestUnitRoute:
         assert all(at.hits >= above.hits for at, above in pairs)
         assert any(at.hits > above.hits for at, above in pairs)
 
+    @pytest.mark.parametrize("n", (*N, 10**6))
+    def test_unit_norm_is_the_norm_of_a_row_of_ones(self, n):
+        for b in (1.01, *self.BETAS, 2.5, 7.0, 10.0):
+            want = _beta_norm(np.ones((1, n)), b)
+            got = simulate._unit_norm(n, b)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
     def test_which_laws_take_the_route(self, monkeypatch):
         draws = []
         draw = simulate._draw_values
@@ -834,16 +863,23 @@ class TestFixedMagnitudeNorm:
         ids=lambda v: law_id(v) if isinstance(v, DistributionSpec) else v,
     )
     def test_estimator_forms_v_n_once_per_block_for_exact_laws(self, monkeypatch, spec, rows):
-        shapes = []
-        beta_norm = simulate._beta_norm
+        calls = []
+        beta_norm, unit_norm = simulate._beta_norm, simulate._unit_norm
 
         def recording(values, b):
-            shapes.append(values.shape)
+            calls.append(("values", values.shape))
             return beta_norm(values, b)
 
+        def unit_recording(n, b):
+            # The norm of a (1, n) row of ones, without the row.
+            calls.append(("unit", (1, n)))
+            return unit_norm(n, b)
+
         monkeypatch.setattr(simulate, "_beta_norm", recording)
+        monkeypatch.setattr(simulate, "_unit_norm", unit_recording)
         estimate_tail_multi(spec, 5, [1.5, 2.0], [0.5, 0.5], RUNNING_MAX, 3000)
-        assert shapes == [(rows, 5)] * 2
+        route = "unit" if spec.kind == "rademacher" else "values"
+        assert calls == [(route, (rows, 5))] * 2
 
 
 class TestScaleInvariance:
