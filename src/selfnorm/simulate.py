@@ -370,8 +370,8 @@ def _level_counts(spec, n: int, stat: str, seed: int, trials: int) -> tuple[int,
 
 
 def _ratios(sums: np.ndarray, norms) -> list:
-    """Per-entry (degenerate mask, sums / v) for each V_n array v in norms, one
-    entry per row of sums (one entry: shared by every row)."""
+    """Per-entry (degenerate mask, sums / v) for each V_n array v in norms; v
+    holds one entry per entry of sums, or one entry shared by all of them."""
     pairs = []
     for v in norms:
         with np.errstate(divide="ignore", invalid="ignore"):
