@@ -23,7 +23,7 @@ Each layer's records go under --label into its file in the directory --out
   one render of its rows; "sweep_cli", the same table as one in-process
   `selfnorm sweep --dist gaussian --trials 0` call, as the benchmark's
   bound_table workload makes it, timed from argument parsing to the text
-  on stdout.  Search records carry the largest relative gap between the
+  on stdout; "sweep_cli_json", that call with `--format json`.  Search records carry the largest relative gap between the
   numeric minimum and bound_bn over the cells whose bound does not
   underflow, and the mean and largest number of search steps per cell (a
   traced bench run does not book the bound layer's work, so this is where
@@ -204,8 +204,9 @@ def bernstein(sn) -> list[dict]:
     records.append({**rec, "digest": sha256(text)})
     argv = ["sweep", "--n", ",".join(map(str, TABLE_N)), "--beta", ",".join(map(repr, BETAS)),
             "--s", ",".join(map(repr, LEVELS)), "--dist", "gaussian", "--trials", "0"]
-    rec, text = timed(lambda: _stdout(cli_main, argv), mode="sweep_cli", cells=len(cells))
-    records.append({**rec, "digest": sha256(text)})
+    for mode, fmt in (("sweep_cli", []), ("sweep_cli_json", ["--format", "json"])):
+        rec, text = timed(lambda: _stdout(cli_main, argv + fmt), mode=mode, cells=len(cells))
+        records.append({**rec, "digest": sha256(text)})
     for rec in records:
         rec["cells_per_s"] = rec["cells"] / rec["best_s"]
     return records

@@ -34,12 +34,14 @@ normalized magnitudes sum exactly either way.
 
 Student's t is counted in the same pass: off the two constant sign
 vectors, {T_n >= x} is the final sum's event at beta = 2 and level
-tstat_threshold(n, x) (Efron 1969).  The statistic names (STATS), their
-check and the bound each statistic is held to are defined here.
+tstat_threshold(n, x) (Efron 1969), formed in tstat_level alone, with the
+tie guard on t.  The statistic names (STATS), their check and the bound
+each statistic is held to are defined here.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +60,7 @@ __all__ = [
     "STATS",
     "ExactTail",
     "tie_guarded",
+    "tstat_level",
     "exact_tail",
     "exact_tail_multi",
     "exact_tstat_tail",
@@ -78,6 +81,14 @@ STATS = (RUNNING_MAX, FINAL_SUM, TSTAT)
 def tie_guarded(x: float) -> float:
     """Effective threshold x - 1e-9 max(1, |x|) for the >= event."""
     return x - TIE_GUARD * max(1.0, abs(x))
+
+
+def tstat_level(n: int, x: float) -> float:
+    """Level of S_n / V_n(2) whose >= event is {T_n >= tie_guarded(x)}; a guard on
+    the level itself would move t's cut by about 1e-9 (1 + x^2 / (n - 1)) relative."""
+    g = tie_guarded(x)
+    # Efron's map is odd; for x <= 1e-9 the guarded t is 0 or negative.
+    return math.copysign(tstat_threshold(n, abs(g)), g) if g else 0.0
 
 
 @dataclass(frozen=True)
@@ -228,9 +239,9 @@ def _starts(base: np.ndarray, keys: np.ndarray, cut: float) -> np.ndarray:
     return start
 
 
-def _tstat_tail(arr, x: float, cut: float, sums1, keys, order, start, hits: int) -> ExactTail:
+def _tstat_tail(arr, x: float, cut: float, sums1, keys, start, hits: int) -> ExactTail:
     """{T_n >= x} from the pass's count of S_n >= cut, where the cut is
-    tie_guarded(tstat_threshold(n, x)) * V_n(2) on the argsorted final sums.
+    tstat_level(n, x) * V_n(2) on the sorted final sums.
 
     Constant sign vectors (sample deviation zero, T_n undefined) leave the
     event and go to degenerate.  T_n rises strictly with S_n, so the direct
@@ -253,15 +264,15 @@ def _tstat_tail(arr, x: float, cut: float, sums1, keys, order, start, hits: int)
     t_plus = _t_value(n, mean, ((arr - mean) ** 2).sum())
     # t rises strictly with S_n, so the routes can only part where a row's
     # hits begin: check each row's last miss and first hit, then the
-    # all-minus and all-plus vectors (row 0 and the last row) once each.
-    last, partners = sums1.size - 1, order.size
-    minus, plus = (np.flatnonzero(order == k)[0] for k in (0, partners - 1))
+    # all-minus and all-plus vectors (row 0 and the last row, the first and
+    # last key; a key tied with them has their value) once each.
+    last, partners = sums1.size - 1, keys.size - 1
     has_miss, has_hit = start > 0, start < partners
     i = np.concatenate([np.flatnonzero(has_miss), np.flatnonzero(has_hit)])
     j = np.concatenate([start[has_miss] - 1, start[has_hit]])
-    inner = ~(((i == 0) & (j == minus)) | ((i == last) & (j == plus)))
+    inner = ~(((i == 0) & (j == 0)) | ((i == last) & (j == partners - 1)))
     i = np.append(i[inner], [0, last])
-    j = np.append(j[inner], [minus, plus])
+    j = np.append(j[inner], [0, partners - 1])
     sums = sums1[i] + keys[j]
     direct = _t_value(n, sums / n, square_sum - sums * sums / n) >= cut_t
     ident = sums >= cut
@@ -292,25 +303,22 @@ def exact_tail_multi(
     if not xs:
         return []
     tstat, running_max = stat == TSTAT, stat == RUNNING_MAX
-    # Off the constant vectors T_n >= x iff S_n >= tstat_threshold(n, x) V_n(2).
-    levels = [tstat_threshold(n, x) for x in xs] if tstat else xs
+    # Off the constant vectors T_n >= x iff S_n >= tstat_level(n, x) V_n(2).
+    levels = [tstat_level(n, x) if tstat else tie_guarded(x) for x in xs]
     norms = {b: float(_beta_norm(arr, 2.0 if tstat else b)) for b in set(bs)}
     # Pair (i, j) has statistic S1_i + S2_j, or max(M1_i, S1_i + M2_j).
     # Normalized magnitudes are finite and at most 1, so no statistic is
     # NaN and a sorted search counts what _count_at would.
     first, second = _halves(arr, 1 + running_max)
-    # The t route check finds its vectors through the sort order; the sum
-    # statistics skip the slower argsort.
-    order = np.argsort(second[0]) if tstat else None
-    keys = np.append(second[0][order] if tstat else np.sort(second[-1]), np.inf)
+    keys = np.append(np.sort(second[-1]), np.inf)
     tails = []
     for x, level, b in zip(xs, levels, bs):
-        cut = tie_guarded(level) * norms[b]
+        cut = level * norms[b]
         start = _starts(first[0], keys, cut)
         if running_max:
             start[first[1] >= cut] = 0
         hits = int((keys.size - 1 - start).sum())
-        tails.append(_tstat_tail(arr, x, cut, first[0], keys, order, start, hits) if tstat
+        tails.append(_tstat_tail(arr, x, cut, first[0], keys, start, hits) if tstat
                      else ExactTail(hits=hits, total=1 << n))
     return tails
 

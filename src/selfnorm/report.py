@@ -7,7 +7,8 @@ by column; run_sweep's records, the CSV and the JSON are all written from
 it, and render_csv and render_json read rows back into one.  Rendering is
 deterministic: floats at 12 significant digits, comma-separated CSV with
 LF line endings, or a JSON array of flat records with the same keys, laid
-out as json.dumps(indent=2) lays it out.
+out as json.dumps(indent=2) lays it out.  One column rule writes both; a
+_Style holds what differs between them.
 """
 
 from __future__ import annotations
@@ -109,44 +110,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _csv_column(values) -> tuple[str, list | None]:
-    """A CSV column's template text and per-row arguments (None: the text is
-    the cell of every row)."""
-    if values.count(None) == len(values):
-        return "", None
-    kinds = set(map(type, values))
-    if kinds == {float} or kinds == {int}:  # "%.12g" % v is f"{v:.12g}"
-        return ("%.12g" if float in kinds else "%d"), values
-    # np.float64, bool, None among floats: _format_cell, the cell rule
-    return "%s", list(map(_format_cell, values))
-
-
 def _json_cell(value) -> str:
     """Text of a JSON cell: floats rounded to 12 significant digits."""
     return json.dumps(float(f"{value:.12g}") if isinstance(value, float) else value)
 
 
-def _json_column(values) -> tuple[str, list | None]:
-    """A JSON column's template text and per-row arguments (see _csv_column)."""
+def _json_floats(values) -> tuple[str, list] | None:
+    """A JSON float column's "%r" arguments (json writes repr), or None at a NaN or inf."""
+    rounded = [float("%.12g" % v) for v in values]
+    return ("%r", rounded) if all(map(math.isfinite, rounded)) else None
+
+
+# How a record is laid out: the text of a cell, a column of Python floats
+# as template text and arguments (None: cell by cell; "%.12g" % v is
+# f"{v:.12g}"), the format of a named field, and the text between, before
+# and after the fields.
+_Style = namedtuple("_Style", "cell floats field sep head tail")
+_CSV = _Style(_format_cell, lambda values: ("%.12g", values), "{text}", ",", "", "\n")
+_JSON = _Style(_json_cell, _json_floats, '    "{col}": {text}', ",\n", "  {\n", "\n  }")
+
+
+def _column(values, style) -> tuple[str, list | None]:
+    """A column's template text and per-row arguments (None: the text is the
+    cell of every row)."""
     if values.count(None) == len(values):
-        return "null", None
+        return style.cell(None), None
     kinds = set(map(type, values))
-    if kinds == {float}:
-        rounded = [float("%.12g" % v) for v in values]
-        if all(map(math.isfinite, rounded)):  # json writes repr, but NaN for nan
-            return "%r", rounded
-    elif kinds == {int}:
+    if kinds == {int}:
         return "%d", values
-    return "%s", list(map(_json_cell, values))
-
-
-# How a record is laid out: the text of a cell, of a column of cells and of a
-# named field, and the text between, before and after the fields.
-_Style = namedtuple("_Style", "cell column field sep head tail")
-_CSV = _Style(_format_cell, _csv_column, lambda col, text: text, ",", "", "\n")
-_JSON = _Style(
-    _json_cell, _json_column, lambda col, text: f'    "{col}": {text}', ",\n", "  {\n", "\n  }"
-)
+    if kinds == {float} and (floats := style.floats(values)) is not None:
+        return floats
+    # np.float64, bool, None among floats: the cell rule
+    return "%s", list(map(style.cell, values))
 
 
 @dataclass(frozen=True)
@@ -176,18 +171,9 @@ class SweepTable:
         """One flat record per row, keyed by COLUMNS in order."""
         named = {col: itertools.repeat(value, self.size) for col, value in self.shared.items()}
         named.update(self.columns)
-        if self.axes is None:
-            cells = zip(*(named[col] for col in COLUMNS[:3]))
-        else:
-            cells = itertools.product(*self.axes)
-        # A dict display per row: dict(zip(COLUMNS, row)) takes about twice as long.
-        return [
-            {"n": n, "beta": beta, "s": s, "x": x, "bound_bn": bn, "bound_corollary": cor,
-             "bernstein_numeric": numeric, "oracle_exact": exact, "mc_p_hat": p_hat,
-             "mc_ci_low": ci_low, "mc_ci_high": ci_high, "trials": trials, "seed": seed}
-            for (n, beta, s), x, bn, cor, numeric, exact, p_hat, ci_low, ci_high, trials, seed
-            in zip(cells, *(named[col] for col in COLUMNS[3:]))
-        ]
+        if self.axes is not None:
+            named.update(zip(COLUMNS, zip(*itertools.product(*self.axes))))
+        return [dict(zip(COLUMNS, row)) for row in zip(*map(named.get, COLUMNS))]
 
     def csv(self) -> str:
         """Fixed header, '.' decimals, LF line endings; one % per row."""
@@ -204,7 +190,7 @@ class SweepTable:
         are formatted per row."""
         fields, args = [], []
         if self.axes is not None:
-            texts = ([style.field(col, style.cell(v)) for v in axis]
+            texts = ([style.field.format(col=col, text=style.cell(v)) for v in axis]
                      for col, axis in zip(COLUMNS, self.axes))
             args.append(list(map(style.sep.join, itertools.product(*texts))))
             fields.append("%s")
@@ -212,8 +198,8 @@ class SweepTable:
             if col in self.shared:
                 text, values = style.cell(self.shared[col]).replace("%", "%%"), None
             else:
-                text, values = style.column(self.columns[col])
-            fields.append(style.field(col, text))
+                text, values = _column(self.columns[col], style)
+            fields.append(style.field.format(col=col, text=text))
             if values is not None:
                 args.append(values)
         template = style.head + style.sep.join(fields) + style.tail

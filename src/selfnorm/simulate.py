@@ -35,8 +35,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .bounds import _beta_norm, _check_beta, _check_n, _check_x, _rescaled_x, _t_value
-from .bounds import tstat_threshold
-from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, tie_guarded
+from .oracle import FINAL_SUM, RUNNING_MAX, TSTAT, tie_guarded, tstat_level
 from .oracle import _check_betas, _check_stat, _count_at, _magnitude_array, _resolve_workers
 
 __all__ = [
@@ -384,13 +383,16 @@ def _statistics(vals: np.ndarray, stat: str, betas, fixed: bool = False) -> list
     """Per-row (degenerate mask, statistic) of a block of samples for each b in
     betas, the numerator reduced once.  A degenerate row has no finite statistic:
     V_n(b) or S / V_n(b) is not finite (V_n(b) = 0 included), or under tstat the row
-    is constant or t not finite.  fixed: all rows share |values|, so row 0's V_n is theirs."""
+    is constant or t or its sum of squared deviations ss is not finite (ss = inf
+    gives t = 0).  fixed: all rows share |values|, so row 0's V_n is theirs."""
     if stat == TSTAT:
         means = vals.mean(axis=1)
         dev = vals - means[:, None]
         dev **= 2
-        t = _t_value(vals.shape[1], means, dev.sum(axis=1))
-        return [((vals == vals[:, :1]).all(axis=1) | ~np.isfinite(t), t)] * len(betas)
+        ss = dev.sum(axis=1)
+        t = _t_value(vals.shape[1], means, ss)
+        degenerate = (vals == vals[:, :1]).all(axis=1) | ~np.isfinite(ss) | ~np.isfinite(t)
+        return [(degenerate, t)] * len(betas)
     sums = _running_max(vals) if stat == RUNNING_MAX else vals.sum(axis=1)
     return _ratios(sums, [_beta_norm(vals[:1] if fixed else vals, b) for b in betas])
 
@@ -474,9 +476,10 @@ def estimate_tail(
     """Estimate P(statistic >= x) with a 99% Wilson interval.
 
     Degenerate trials have no finite statistic (V_n or S / V_n not finite, V_n = 0
-    included; under tstat a constant sample or a non-finite t): they count as non-hits
-    and are tallied in degenerate_count.  Fixed magnitudes count at unit scale, as in
-    the oracle.  Identical arguments give identical hits for every worker count.
+    included; under tstat a constant sample, or a t or sum of squared deviations
+    that is not finite): they count as non-hits and are tallied in
+    degenerate_count.  Fixed magnitudes count at unit scale, as in the oracle.
+    Identical arguments give identical hits for every worker count.
 
     Args:
         spec: sampling law.
@@ -503,24 +506,23 @@ def efron_check(
 ) -> int:
     """Count trials where {T_n >= x} and its self-normalized form disagree.
 
-    For every trial with nonzero sample deviation the indicator of
-    T_n >= x must equal the indicator of S_n / V_n(2) >= tstat_threshold(n, x);
-    the return value is the number of violations (0 when the reduction
-    holds).  Degenerate trials are skipped.
+    For every trial with a finite nonzero sample deviation the indicator of
+    T_n >= x must equal the indicator of S_n / V_n(2) >= tstat_threshold(n, x),
+    both under the tie guard on t's scale (oracle.tstat_level); the return
+    value is the number of violations (0 when the reduction holds).
+    Degenerate trials are skipped.
     """
     n = _check_n(n, minimum=2)
     x = _check_x(x)
     trials = _check_n(trials, name="trials")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
-    tau = tstat_threshold(n, x)
-    cut_t = tie_guarded(x)
-    cut_ratio = tie_guarded(tau)
+    cut_t, level = tie_guarded(x), tstat_level(n, x)
 
     def count(vals: np.ndarray) -> int:
         degenerate, t = _statistics(vals, TSTAT, (2.0,))[0]
         ratio = _statistics(vals, FINAL_SUM, (2.0,))[0][1]
-        return int((~degenerate & ((t >= cut_t) != (ratio >= cut_ratio))).sum())
+        return int((~degenerate & ((t >= cut_t) != (ratio >= level))).sum())
 
     return _map_blocks(count, spec, n, seed, trials, workers)
 

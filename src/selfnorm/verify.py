@@ -468,13 +468,16 @@ _SWEEP_GRID = report.SweepGrid(
 
 
 def sweep_round_trip() -> str:
-    """CSV/JSON rendering re-parses to the same values at 12 digits."""
+    """CSV/JSON rendering re-parses to the same values at 12 digits, and the
+    table the CLI writes renders the same text as the row adapters."""
+    table = report.sweep_table(_SWEEP_GRID, workers=1)
     rows = report.run_sweep(_SWEEP_GRID, workers=1)
-    for fmt, render, parse in (
-        ("CSV", report.render_csv, report.parse_csv),
-        ("JSON", report.render_json, json.loads),
+    for fmt, render, write, parse in (
+        ("CSV", report.render_csv, table.csv, report.parse_csv),
+        ("JSON", report.render_json, table.json, json.loads),
     ):
-        parsed = parse(render(rows))
+        text = render(rows)
+        parsed = parse(text)
         _require(len(parsed) == len(rows), f"row count changed through {fmt}")
         for row, back in zip(rows, parsed):
             for col in report.COLUMNS:
@@ -484,14 +487,14 @@ def sweep_round_trip() -> str:
                     back[col] == expected,
                     f"column {col} changed through {fmt}: {back[col]!r} != {expected!r}",
                 )
+        _require(write() == text, f"the sweep table's {fmt} differs from its rows'")
     return f"{len(rows)} rows round-tripped in CSV and JSON"
 
 
 def sweep_thread_invariance() -> str:
     """Rendered sweep bytes are identical for 1, 2 and 8 workers."""
-    texts = {
-        report.render_csv(report.run_sweep(_SWEEP_GRID, workers=w)) for w in (1, 2, 8)
-    }
+    tables = [report.sweep_table(_SWEEP_GRID, workers=w) for w in (1, 2, 8)]
+    texts = {(report.render_csv(table.rows()), table.csv(), table.json()) for table in tables}
     _require(len(texts) == 1, "worker count changed the rendered sweep")
     return "identical bytes for workers 1/2/8"
 

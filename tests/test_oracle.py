@@ -34,6 +34,7 @@ from selfnorm import (
     run_sweep,
     threshold_from_s,
     tie_guarded,
+    tstat_level,
     tstat_threshold,
     v_norm,
 )
@@ -338,6 +339,9 @@ class TestKernelCrossCheck:
         rng = np.random.default_rng(2025)
         vectors = [_drawn_magnitudes(rng, n) for n in list(range(2, 13)) * 2]
         vectors += [[0.7] * n for n in (2, 5, 9)] + [[0.0, 1.5, 1.5, 0.0]]
+        # A zero magnitude, or one lost to rounding, ties the all-minus or
+        # all-plus second half with another sign pattern in the sort.
+        vectors += [[1.0, 0.5, 1e-20, 0.0], [0.3, 0.0, 0.0, 1.0, 1e-18, 0.7], [2.0, 0.0]]
         for mags in vectors:
             for x in (0.3, 1.1, 2.4):
                 tail = exact_tstat_tail(mags, x)
@@ -373,6 +377,17 @@ class TestKernelCrossCheck:
         with pytest.raises(RuntimeError, match="disagree"):
             exact_tstat_tail(mags, 1e12)
 
+    @pytest.mark.parametrize(
+        "mags, x",
+        [([1.0, 1.00001], 1.5e5), ([1.0, 1.00001], 2.5e5), ([1.0, 1.00001, 1.00002], 3e4)],
+    )
+    def test_tie_guard_acts_on_t_at_large_thresholds(self, mags, x):
+        # Guarding S_n / V_n's level instead of t lowers t's cut by about
+        # 1e-9 x^2 / (n - 1) relative: at n = 2 and x = 2.5e5 to about 2.2e4,
+        # below the all-plus vector's t of about 2e5, and the routes parted.
+        tail = exact_tstat_tail(mags, x)
+        assert (tail.hits, tail.degenerate) == brute_tstat(mags, x)
+
     def test_workers_agree_across_blocks(self):
         mags = np.random.default_rng(2026).uniform(0.1, 2.0, 18)
         xs = [0.9, 0.3, 1.7, 0.3]
@@ -390,6 +405,26 @@ class TestKernelCrossCheck:
         fin = exact_tail_multi([1.0] * n, beta, xs, FINAL_SUM)
         assert [t.hits for t in run] == [reflection_count(n, m) for m in cuts]
         assert [t.hits for t in fin] == [binomial_tail(n, m) for m in cuts]
+
+
+class TestTstatLevel:
+    """tstat_level is Efron's level of the t event under the tie guard on t."""
+
+    def test_is_the_level_of_the_guarded_t(self):
+        for n in (2, 3, 10, 1000):
+            for x in (2e-9, 0.01, 1.0, 3.7, 1e5, 1e12, 1e200):
+                assert tstat_level(n, x) == tstat_threshold(n, tie_guarded(x))
+
+    def test_odd_where_the_guard_reaches_zero(self):
+        # For x <= 1e-9 the guarded t is 0 or negative, where Efron's map
+        # is the mirror image of its positive branch.
+        assert tstat_level(5, 1e-9) == 0.0
+        for x in (5e-10, 1e-12):
+            assert tstat_level(5, x) == -tstat_threshold(5, -tie_guarded(x)) < 0.0
+        for mags in ([1.0] * 4, [1.0, 2.0, 0.5], [0.0, 1.5, 1.5, 0.0]):
+            for x in (5e-10, 1e-12):
+                tail = exact_tstat_tail(mags, x)
+                assert (tail.hits, tail.degenerate) == brute_tstat(mags, x)
 
 
 class TestTstatInSharedPass:

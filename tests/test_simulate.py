@@ -24,6 +24,7 @@ from selfnorm import (
     estimate_tail_multi,
     exact_tail,
     tie_guarded,
+    tstat_level,
     v_norm,
     wilson_interval,
 )
@@ -679,6 +680,28 @@ class TestEstimateTailMulti:
             ]
         assert multi == single
 
+    def test_overflowing_deviations_are_degenerate(self):
+        """A t row of finite values whose squared deviations overflow has
+        ss = inf and t = 0; it is degenerate, not a miss (its true t, from the
+        row scaled to a largest magnitude of 1, is not 0 and mostly +-1)."""
+        spec, n, trials, seed, xs = DistributionSpec.pareto(0.01), 20, 4096, 1, [0.5, 1.0]
+        with np.errstate(all="ignore"):
+            vals = _draw_values(spec, n, seed, 0, trials)
+            mean = vals.mean(axis=1)
+            ss = ((vals - mean[:, None]) ** 2).sum(axis=1)
+            t = math.sqrt(n) * mean / np.sqrt(ss / (n - 1))
+            scaled = vals / np.abs(vals).max(axis=1)[:, None]
+            scaled_mean = scaled.mean(axis=1)
+            scaled_ss = ((scaled - scaled_mean[:, None]) ** 2).sum(axis=1)
+            true_t = math.sqrt(n) * scaled_mean / np.sqrt(scaled_ss / (n - 1))
+            estimates = estimate_tail_multi(spec, n, 2.0, xs, TSTAT, trials, seed, 1)
+        overflow = np.isfinite(vals).all(axis=1) & np.isinf(ss)
+        assert overflow.sum() == 1748 and np.all(t[overflow] == 0.0)
+        assert np.all(np.isfinite(true_t[overflow]) & (true_t[overflow] != 0.0))
+        assert np.median(np.abs(true_t[overflow])) == pytest.approx(1.0)
+        # 61 rows were degenerate before, for a non-finite t; the hits stay.
+        assert [(e.hits, e.degenerate_count) for e in estimates] == [(1171, 1809), (1004, 1809)]
+
     def test_nan_statistics_stay_misses(self):
         """Rows whose statistic is NaN count at no threshold; rows without a
         finite statistic are counted as degenerate."""
@@ -942,9 +965,34 @@ class TestTransformScales:
 
 
 class TestEfron:
+    LARGE_XS = (1e4, 1e5, 1e7)
+
     def test_zero_violations_on_small_grids(self):
         assert efron_check(DistributionSpec.rademacher(), 4, 1.0, 4000, seed=2) == 0
         assert efron_check(DistributionSpec.gaussian(), 6, 1.5, 4000, seed=2) == 0
+
+    @pytest.mark.parametrize("spec", [DistributionSpec.gaussian(), DistributionSpec.uniform()],
+                             ids=law_id)
+    def test_no_violations_at_large_thresholds(self, spec):
+        # With the tie guard on the level's scale, not t's, these cells
+        # reported 0, 5 and 5 violations (Gaussian) and 1, 4 and 5 (uniform).
+        assert [efron_check(spec, 2, x, 200_000, seed=3) for x in self.LARGE_XS] == [0, 0, 0]
+
+    @pytest.mark.parametrize("spec", [DistributionSpec.gaussian(), DistributionSpec.uniform()],
+                             ids=law_id)
+    def test_estimator_and_identity_count_t_at_large_thresholds(self, spec):
+        n, trials, seed = 2, 200_000, 3
+        vals = _draw_values(spec, n, seed, 0, trials)
+        mean = vals.mean(axis=1)
+        ss = ((vals - mean[:, None]) ** 2).sum(axis=1)
+        live = ss > 0.0
+        t = math.sqrt(n) * mean[live] / np.sqrt(ss[live] / (n - 1))
+        ratio = vals[live].sum(axis=1) / np.sqrt((vals[live] ** 2).sum(axis=1))
+        direct = [int((t >= tie_guarded(x)).sum()) for x in self.LARGE_XS]
+        assert direct[0] > 0
+        assert [int((ratio >= tstat_level(n, x)).sum()) for x in self.LARGE_XS] == direct
+        hits = [estimate_tail(spec, n, 2.0, x, TSTAT, trials, seed).hits for x in self.LARGE_XS]
+        assert hits == direct
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,35 @@ class TestSweepRoundTrip:
         with pytest.raises(SuiteFailure, match=f"^row count changed through {fmt}$"):
             verify.sweep_round_trip()
 
+    @pytest.mark.parametrize("fmt", ["CSV", "JSON"])
+    def test_grid_table_text_is_checked(self, monkeypatch, fmt):
+        # The CLI writes the grid's table (axes set); the adapters write a
+        # table read back from rows (axes None).  Only the first is broken.
+        write = getattr(report.SweepTable, fmt.lower())
+
+        def broken(table):
+            return write(table) + "\n" * (table.axes is not None)
+
+        monkeypatch.setattr(report.SweepTable, fmt.lower(), broken)
+        with pytest.raises(SuiteFailure, match=f"^the sweep table's {fmt} differs from its rows'$"):
+            verify.sweep_round_trip()
+
+
+class TestSweepThreadInvariance:
+    @pytest.mark.parametrize("name", ["csv", "json"])
+    def test_table_text_that_depends_on_workers_fails(self, monkeypatch, name):
+        sweep_table = report.sweep_table
+
+        def by_workers(grid, workers=None):
+            table = sweep_table(grid, workers)
+            if workers == 8:
+                object.__setattr__(table, name, lambda: "")
+            return table
+
+        monkeypatch.setattr(report, "sweep_table", by_workers)
+        with pytest.raises(SuiteFailure, match="^worker count changed the rendered sweep$"):
+            verify.sweep_thread_invariance()
+
 
 class TestBoundRespect:
     def test_seeds(self, monkeypatch):
